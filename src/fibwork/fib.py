@@ -6,30 +6,24 @@ F_3 = 2, ...  All values are exact Python ints.
 
 from __future__ import annotations
 
-import threading
-
 
 class FibSequence:
     """Growable, memoized Fibonacci table.
 
-    Cache growth is guarded by a lock so a single instance can be shared by
-    threaded sweep workers.  Reads of already-computed entries are plain list
-    indexing.
+    Not synchronised: sweeps parallelise over processes, each with its own
+    table.  Reads of already-computed entries are plain list indexing.
     """
 
     def __init__(self) -> None:
         self._values: list[int] = [0, 1]
-        self._lock = threading.Lock()
 
     def value(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"negative Fibonacci index: {n}")
-        if n >= len(self._values):
-            with self._lock:
-                v = self._values
-                while n >= len(v):
-                    v.append(v[-1] + v[-2])
-        return self._values[n]
+        v = self._values
+        while n >= len(v):
+            v.append(v[-1] + v[-2])
+        return v[n]
 
     def upto(self, n: int) -> list[int]:
         """Return [F_0, ..., F_n] as a fresh list."""

@@ -8,6 +8,13 @@ where [F_n]!_q is the product of the q-analogs [F_k]_q for k = 1..n.  The
 quotient is always a polynomial with nonnegative integer coefficients and
 palindromic coefficient sequence; unimodality is the conjecture this
 workbench exists to probe.
+
+It is built without forming either factorial: the (1 - q) factors of the
+q-analogs cancel, leaving the binomial product
+
+    qfibonomial(m, n) = prod_{k=1..n} (1 - q^{F_{m+k}}) / (1 - q^{F_k}),
+
+which costs one shifted subtract and one prefix-sum division per k.
 """
 
 from __future__ import annotations
@@ -17,20 +24,12 @@ from functools import lru_cache
 
 from .fib import fib
 from .qpoly import (
-    ONE,
     NotDivisibleError,
     Polynomial,
     div_one_minus_q_power,
     exact_div,
-    mul_q_analog,
     q_analog,
 )
-
-# Above this product of operand lengths, the single synthetic division in
-# qfibonomial is replaced by dividing through the denominator's binomial
-# factorization (each stage O(len)); pure-Python synthetic division is
-# quadratic and becomes prohibitive near the m = n = 16 corner.
-SYNTHETIC_DIV_BUDGET = 50_000_000
 
 
 def fibonomial(m: int, n: int) -> int:
@@ -42,7 +41,8 @@ def fibonomial(m: int, n: int) -> int:
         fib(k) for k in range(1, n + 1)
     )
     q, r = divmod(num, den)
-    assert r == 0, (m, n)
+    if r:
+        raise ArithmeticError(f"fibonomial({m}, {n}): remainder {r}")
     return q
 
 
@@ -51,61 +51,37 @@ def qfibonomial_degree(m: int, n: int) -> int:
     return fib(m + n + 2) - fib(m + 2) - fib(n + 2) + 1
 
 
-def _denominator_analog_sizes(m: int, n: int) -> list[int]:
-    return [fib(k) for k in range(1, m + 1)] + [fib(k) for k in range(1, n + 1)]
-
-
-def _divide_by_analog_product(num: Polynomial, sizes: list[int]) -> Polynomial:
-    """num / prod([s]_q for s in sizes) via (1-q^s)/(1-q) factors.
-
-    Multiplies by (1-q)^len(sizes), then runs one exact prefix-sum division
-    per binomial (1-q^s).  Every intermediate quotient is itself a
-    polynomial (it equals the final quotient times the factors not yet
-    divided out), so each stage asserts exactness.
-    """
-    c = list(num.coeffs)
-    for _ in sizes:
-        # multiply by (1 - q): c[i] -= c[i-1], high to low
-        c.append(0)
-        for i in range(len(c) - 1, 0, -1):
-            c[i] -= c[i - 1]
-    for s in sorted(sizes, reverse=True):
-        div_one_minus_q_power(c, s)
-    return Polynomial(c)
-
-
 @lru_cache(maxsize=64)
 def qfibonomial(m: int, n: int) -> Polynomial:
     """The q-Fibonomial coefficient as an exact integer polynomial.
 
-    Built as one numerator product divided once by the full denominator
-    product (synthetic division); beyond SYNTHETIC_DIV_BUDGET the division
-    goes through the denominator's binomial factorization instead.
+    Built on one coefficient list as the cancelled binomial product
+    prod_{k=1..n} (1 - q^{F_{m+k}}) / (1 - q^{F_k}), with n = min(m, n).
+    Step k multiplies by 1 - q^{F_{m+k}} (a shifted subtract, high end
+    down) and then divides by 1 - q^{F_k} (div_one_minus_q_power, which
+    raises NotDivisibleError on a nonzero tail).  After step k the list is
+    exactly qfibonomial(m, k), so every division is exact, the state
+    between steps is nonnegative, and it is never longer than the result;
+    only inside the last step does the list briefly run F_n - 1 past it.
     """
     if m < 0 or n < 0:
         raise ValueError(f"qfibonomial needs m, n >= 0, got ({m}, {n})")
-    if m == 0 or n == 0:
-        return ONE
-    num = _fib_q_factorial_cached(m + n)
-    sizes = _denominator_analog_sizes(m, n)
-    den_len = sum((s - 1) for s in sizes) + 1
-    if len(num.coeffs) * den_len <= SYNTHETIC_DIV_BUDGET:
-        den = ONE
-        for s in sizes:
-            den = mul_q_analog(den, s)
-        quo = exact_div(num, den)
-    else:
-        quo = _divide_by_analog_product(num, sizes)
-    assert (not quo.is_zero()) and quo.degree == qfibonomial_degree(m, n)
-    return quo
-
-
-@lru_cache(maxsize=8)
-def _fib_q_factorial_cached(n: int) -> Polynomial:
-    p = ONE
+    if n > m:
+        m, n = n, m
+    c = [1]
     for k in range(1, n + 1):
-        p = mul_q_analog(p, fib(k))
-    return p
+        s = fib(m + k)
+        c.extend([0] * s)
+        for i in range(len(c) - 1, s - 1, -1):
+            c[i] -= c[i - s]
+        div_one_minus_q_power(c, fib(k))
+    quo = Polynomial(c)
+    if quo.is_zero() or quo.degree != qfibonomial_degree(m, n):
+        raise ArithmeticError(
+            f"qfibonomial({m}, {n}) has {len(c)} coefficients, "
+            f"expected degree {qfibonomial_degree(m, n)}"
+        )
+    return quo
 
 
 def closed_form_n2(m: int) -> Polynomial:
@@ -140,7 +116,8 @@ def n3_factorization(m: int) -> tuple[int, int, int]:
     triple = [fib(m + 1), fib(m + 2), fib(m + 3)]
     evens = [v for v in triple if v % 2 == 0]
     odds = sorted(v for v in triple if v % 2 == 1)
-    assert len(evens) == 1, triple
+    if len(evens) != 1:
+        raise ArithmeticError(f"expected exactly one even value among {triple}")
     return (odds[0], odds[1], evens[0] // 2)
 
 

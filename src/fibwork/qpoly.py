@@ -16,10 +16,6 @@ from typing import Iterable, Iterator, Optional
 
 from .fib import fib
 
-# General products switch from schoolbook convolution to Karatsuba above
-# this degree.  Kept as a module-level dial so benchmarks can move it.
-KARATSUBA_THRESHOLD = 1024
-
 
 class NotDivisibleError(ArithmeticError):
     """Raised by exact_div when the divisor does not divide the dividend.
@@ -191,60 +187,22 @@ def fib_q_factorial(n: int) -> Polynomial:
 # -- multiplication -------------------------------------------------------
 
 
-def _school(a: tuple, b: tuple) -> list:
+def mul(p: Polynomial, r: Polynomial) -> Polynomial:
+    """Exact product by schoolbook convolution; zero if either operand is zero.
+
+    The general product: the public API and the reference the tests compare
+    the specialised products against.  Products of q-analogs go through
+    mul_q_analog instead.
+    """
+    a, b = p.coeffs, r.coeffs
+    if not a or not b:
+        return ZERO
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return out
-
-
-def _padd(x: list, y: list) -> list:
-    if len(x) < len(y):
-        x, y = y, x
-    out = list(x)
-    for i, v in enumerate(y):
-        out[i] += v
-    return out
-
-
-def _kara(a: list, b: list) -> list:
-    la, lb = len(a), len(b)
-    if not la or not lb:
-        return []
-    if min(la, lb) <= KARATSUBA_THRESHOLD:
-        return _school(tuple(a), tuple(b))
-    h = min(la, lb) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _kara(a0, b0)
-    z2 = _kara(a1, b1)
-    z1 = _kara(_padd(a0, a1), _padd(b0, b1))
-    for i, v in enumerate(z0):
-        z1[i] -= v
-    for i, v in enumerate(z2):
-        z1[i] -= v
-    out = [0] * (la + lb - 1)
-    for i, v in enumerate(z0):
-        out[i] += v
-    for i, v in enumerate(z1):
-        out[i + h] += v
-    for i, v in enumerate(z2):
-        out[i + 2 * h] += v
-    return out
-
-
-def mul(p: Polynomial, r: Polynomial) -> Polynomial:
-    """Exact product; zero if either operand is zero.
-
-    Schoolbook convolution up to KARATSUBA_THRESHOLD, Karatsuba above.
-    """
-    if not p.coeffs or not r.coeffs:
-        return ZERO
-    if min(len(p.coeffs), len(r.coeffs)) <= KARATSUBA_THRESHOLD:
-        return Polynomial(_school(p.coeffs, r.coeffs))
-    return Polynomial(_kara(list(p.coeffs), list(r.coeffs)))
+    return Polynomial(out)
 
 
 # -- exact division -------------------------------------------------------
@@ -300,9 +258,9 @@ def div_one_minus_q_power(coeffs: list, k: int) -> list:
 
     Prefix-sum recurrence out[i] = c[i] + out[i-k].  Exactness requires the
     last k running sums to vanish; raises NotDivisibleError otherwise.
-    Helper for dividing by products of q-analogs via their binomial
-    factorization [n]_{q^r} = (1 - q^{nr}) / (1 - q^r); the mainline
-    synthetic route is exact_div.
+    This is the division step of qfibonomial's cancelled binomial product,
+    so it runs once per factor on the mainline; exact_div is the general
+    division by an arbitrary polynomial.
     """
     if k < 1:
         raise ValueError("power must be >= 1")

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fibwork
 from fibwork.fib import fib
 from fibwork.fibonomial import (
     closed_form_n2,
@@ -16,6 +21,8 @@ from fibwork.qpoly import (
     ONE,
     NotDivisibleError,
     Polynomial,
+    exact_div,
+    fib_q_factorial,
     is_symmetric,
     mul,
     mul_q_analog,
@@ -168,27 +175,38 @@ def test_telescoped_rejects_large_gcd():
         telescoped_fibocatalan(3, 3)
 
 
-def test_division_routes_agree():
-    import importlib
+@pytest.mark.parametrize("m,n", [(4, 4), (7, 7), (2, 12), (9, 5)])
+def test_factorial_quotient_oracle(m, n):
+    # the defining quotient, divided out by general synthetic division
+    num = fib_q_factorial(m + n)
+    den = mul(fib_q_factorial(m), fib_q_factorial(n))
+    assert exact_div(num, den) == qfibonomial(m, n)
 
-    fbn = importlib.import_module("fibwork.fibonomial")
 
-    pairs = [(2, 2), (3, 3), (4, 4), (2, 12), (7, 7)]
-    expected = {}
-    for m, n in pairs:
-        qfibonomial.cache_clear()
-        old = fbn.SYNTHETIC_DIV_BUDGET
-        try:
-            fbn.SYNTHETIC_DIV_BUDGET = 10**18
-            expected[(m, n)] = qfibonomial(m, n)
-        finally:
-            fbn.SYNTHETIC_DIV_BUDGET = old
-    for m, n in pairs:
-        qfibonomial.cache_clear()
-        old = fbn.SYNTHETIC_DIV_BUDGET
-        try:
-            fbn.SYNTHETIC_DIV_BUDGET = 0
-            assert qfibonomial(m, n) == expected[(m, n)]
-        finally:
-            fbn.SYNTHETIC_DIV_BUDGET = old
-    qfibonomial.cache_clear()
+def test_value_and_degree_up_to_sum_22():
+    for total in range(23):
+        for m in range(total + 1):
+            p = qfibonomial(m, total - m)
+            assert p.evaluate(1) == fibonomial(m, total - m)
+            assert p.degree == qfibonomial_degree(m, total - m)
+
+
+def test_degree_check_survives_optimize():
+    code = (
+        "import importlib\n"
+        "f = importlib.import_module('fibwork.fibonomial')\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "f.qfibonomial_degree = lambda m, n: -1\n"
+        "try:\n"
+        "    f.qfibonomial(5, 3)\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(fibwork.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"

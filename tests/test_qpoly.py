@@ -3,7 +3,6 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import fibwork.qpoly as qp
 from fibwork.qpoly import (
     ONE,
     ZERO,
@@ -89,17 +88,6 @@ def test_mul_commutes(a, b):
 @settings(max_examples=60)
 def test_mul_distributes(a, b, c):
     assert mul(a, b + c) == mul(a, b) + mul(a, c)
-
-
-def test_karatsuba_agrees_with_schoolbook(monkeypatch):
-    import random
-
-    rng = random.Random(1729)
-    a = Polynomial([rng.randrange(-999, 1000) for _ in range(700)])
-    b = Polynomial([rng.randrange(-999, 1000) for _ in range(513)])
-    expected = mul(a, b)  # schoolbook: both below the default threshold
-    monkeypatch.setattr(qp, "KARATSUBA_THRESHOLD", 8)
-    assert mul(a, b) == expected
 
 
 @given(polys, st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=4))
