@@ -3,8 +3,9 @@
 One JSON file per entry under the cache directory; the filename is the
 SHA-256 of the canonical (op, params) key, so identical queries land on
 identical paths and a re-read must be bit-identical to what was stored.
-Coefficients are decimal strings — they routinely exceed 2^53, so they
-never pass through floats or native JSON numbers.
+Coefficients are stored in Polynomial's JSON form (decimal strings — they
+routinely exceed 2^53, so they never pass through floats or native JSON
+numbers).  A damaged or mismatched entry reads as a miss.
 """
 
 from __future__ import annotations
@@ -48,12 +49,25 @@ class PolyCache:
         return self.root / (cache_key(op, params) + ".json")
 
     def get(self, op: str, params: dict) -> Optional[Polynomial]:
+        """The stored polynomial, or None on a miss.
+
+        An entry that is not valid JSON, lacks a field, or names another
+        format version, op or params is a miss too; the caller's next put
+        rewrites it.
+        """
         path = self.path_for(op, params)
         if not path.exists():
             return None
-        with open(path) as fh:
-            entry = json.load(fh)
-        return Polynomial(int(s) for s in entry["coeffs"])
+        try:
+            with open(path) as fh:
+                entry = json.load(fh)
+            if (entry["version"], entry["op"], entry["params"]) != (
+                FORMAT_VERSION, op, params
+            ):
+                return None
+            return Polynomial.from_json_dict(entry)
+        except (ValueError, KeyError, TypeError):
+            return None
 
     def put(self, op: str, params: dict, poly: Polynomial) -> Path:
         path = self.path_for(op, params)
@@ -61,7 +75,7 @@ class PolyCache:
             "version": FORMAT_VERSION,
             "op": op,
             "params": params,
-            "coeffs": [str(c) for c in poly.coeffs],
+            **poly.to_json_dict(),
             "created": datetime.now(timezone.utc).isoformat(),
         }
         # atomic publish: never leave a half-written entry at the final path

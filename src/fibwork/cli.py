@@ -21,6 +21,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import __version__
@@ -28,16 +29,13 @@ from .cache import PolyCache, resolve_cache_dir
 from .chains import decompose
 from .fibonomial import qfibonomial
 from .products import scan_products
-from .qpoly import is_log_concave, is_symmetric, is_unimodal
 from .svg import chain_gallery_svg, tiling_svg
 from .sweeps import (
     CSV_COLUMNS,
     FIBOCAT_CSV_COLUMNS,
-    SweepRecord,
-    analyze_pair,
     fibocatalan_sweep,
     oracle_check,
-    poly_checksum,
+    shape_record,
     verify_conjecture,
 )
 from .tilings import EnumerationCapExceeded, enumerate_tilings
@@ -86,18 +84,7 @@ def cmd_fibonomial(args) -> int:
     if poly is None:
         poly = qfibonomial(args.m, args.n)
         cache.put("qfibonomial", params, poly)
-    unimodal, _ = is_unimodal(poly)
-    record = SweepRecord(
-        m=args.m,
-        n=args.n,
-        degree=poly.degree if not poly.is_zero() else 0,
-        peak_coeff=str(max(poly.coeffs)),
-        symmetric=is_symmetric(poly),
-        unimodal=unimodal,
-        log_concave=is_log_concave(poly),
-        wall_time_ms=int((time.perf_counter() - t0) * 1000),
-        checksum=poly_checksum(poly),
-    )
+    record = shape_record(args.m, args.n, poly, t0)
     if args.format == "csv":
         text = _records_csv(CSV_COLUMNS, [record.csv_row()])
     else:
@@ -171,7 +158,7 @@ def cmd_oracle_check(args) -> int:
 def cmd_render(args) -> int:
     if args.select == "chains":
         if args.n != 2:
-            raise UsageError("selector 'chains' requires n == 2")
+            raise ValueError("selector 'chains' requires n == 2")
         svg = chain_gallery_svg(decompose(args.m))
     else:
         if args.select == "first":
@@ -180,17 +167,17 @@ def cmd_render(args) -> int:
             try:
                 index = int(args.select)
             except ValueError:
-                raise UsageError(
+                raise ValueError(
                     f"selector must be 'first', 'chains' or an index, "
                     f"got {args.select!r}"
-                )
+                ) from None
         chosen = None
         for i, t in enumerate(enumerate_tilings(args.m, args.n)):
             if i == index:
                 chosen = t
                 break
         if chosen is None:
-            raise UsageError(
+            raise ValueError(
                 f"tiling index {index} out of range for ({args.m},{args.n})"
             )
         svg = tiling_svg(chosen)
@@ -205,15 +192,11 @@ def cmd_fibocatalan_sweep(args) -> int:
     if args.format == "csv":
         text = _records_csv(
             FIBOCAT_CSV_COLUMNS,
-            [
-                [r.m, r.n, r.gcd, r.divisible, r.unimodal, r.nonneg,
-                 r.telescoping_match, r.wall_time_ms]
-                for r in report.rows
-            ],
+            [astuple(r) for r in report.rows],
         )
     else:
         text = json.dumps(
-            {"rows": [r.to_dict() for r in report.rows],
+            {"rows": [asdict(r) for r in report.rows],
              "violations": len(report.violations)},
             indent=1,
         ) + "\n"
@@ -264,8 +247,11 @@ def cmd_chains(args) -> int:
     return EXIT_OK
 
 
-class UsageError(Exception):
-    pass
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
         if jobs:
-            sp.add_argument("--jobs", type=int, default=1,
+            sp.add_argument("--jobs", type=positive_int, default=1,
                             help="worker processes for the sweep")
         if out:
             sp.add_argument("--out", default=None,
@@ -359,7 +345,7 @@ def main(argv=None) -> int:
     except EnumerationCapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED
-    except UsageError as e:
+    except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_REFUSED
     except OSError as e:

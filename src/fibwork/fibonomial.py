@@ -20,7 +20,6 @@ which costs one shifted subtract and one prefix-sum division per k.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .fib import fib
 from .qpoly import (
@@ -51,7 +50,6 @@ def qfibonomial_degree(m: int, n: int) -> int:
     return fib(m + n + 2) - fib(m + 2) - fib(n + 2) + 1
 
 
-@lru_cache(maxsize=64)
 def qfibonomial(m: int, n: int) -> Polynomial:
     """The q-Fibonomial coefficient as an exact integer polynomial.
 
@@ -63,6 +61,7 @@ def qfibonomial(m: int, n: int) -> Polynomial:
     exactly qfibonomial(m, k), so every division is exact, the state
     between steps is nonnegative, and it is never longer than the result;
     only inside the last step does the list briefly run F_n - 1 past it.
+    Results are not memoised; a caller that reuses one keeps it.
     """
     if m < 0 or n < 0:
         raise ValueError(f"qfibonomial needs m, n >= 0, got ({m}, {n})")

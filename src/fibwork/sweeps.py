@@ -13,7 +13,7 @@ import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Optional
 
 from .chains import decompose
@@ -45,8 +45,19 @@ CSV_COLUMNS = (
 )
 
 
+# coefficients per hashed chunk: bounds the decimal text held at once
+CHECKSUM_CHUNK = 65_536
+
+
 def poly_checksum(p: Polynomial) -> str:
-    return hashlib.sha256(",".join(str(c) for c in p.coeffs).encode()).hexdigest()
+    """SHA-256 of the comma-joined decimal coefficients, fed in chunks."""
+    h = hashlib.sha256()
+    c = p.coeffs
+    for start in range(0, len(c), CHECKSUM_CHUNK):
+        if start:
+            h.update(b",")
+        h.update(",".join([str(x) for x in c[start:start + CHECKSUM_CHUNK]]).encode())
+    return h.hexdigest()
 
 
 @dataclass
@@ -63,37 +74,16 @@ class SweepRecord:
     timed_out: bool = False
 
     def csv_row(self) -> list:
-        return [
-            self.m,
-            self.n,
-            self.degree,
-            self.peak_coeff,
-            self.symmetric,
-            self.unimodal,
-            self.log_concave,
-            self.wall_time_ms,
-        ]
+        return list(astuple(self))[: len(CSV_COLUMNS)]
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "degree": self.degree,
-            "peak_coeff": self.peak_coeff,
-            "symmetric": self.symmetric,
-            "unimodal": self.unimodal,
-            "log_concave": self.log_concave,
-            "wall_time_ms": self.wall_time_ms,
-            "checksum": self.checksum,
-            "timed_out": self.timed_out,
-        }
+        return asdict(self)
 
 
-def analyze_pair(args: tuple) -> SweepRecord:
-    """Worker: full shape report for one (m, n)."""
-    m, n, soft_ms = args
-    t0 = time.perf_counter()
-    p = qfibonomial(m, n)
+def shape_record(
+    m: int, n: int, p: Polynomial, t0: float, soft_ms: Optional[int] = None
+) -> SweepRecord:
+    """Shape report for p = qfibonomial(m, n); wall time counts from t0."""
     symmetric = is_symmetric(p)
     unimodal, _ = is_unimodal(p)
     log_concave = is_log_concave(p)
@@ -110,6 +100,13 @@ def analyze_pair(args: tuple) -> SweepRecord:
         checksum=poly_checksum(p),
         timed_out=(soft_ms is not None and ms > soft_ms),
     )
+
+
+def analyze_pair(args: tuple) -> SweepRecord:
+    """Worker: full shape report for one (m, n)."""
+    m, n, soft_ms = args
+    t0 = time.perf_counter()
+    return shape_record(m, n, qfibonomial(m, n), t0, soft_ms)
 
 
 def conjecture_pairs(max_sum: int, square_max: int) -> list[tuple[int, int]]:
@@ -237,19 +234,7 @@ class FibocatRow:
     unimodal: bool
     nonneg: Optional[bool]
     telescoping_match: Optional[bool]
-    wall_time_ms: int
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "gcd": self.gcd,
-            "divisible": self.divisible,
-            "unimodal": self.unimodal,
-            "nonneg": self.nonneg,
-            "telescoping_match": self.telescoping_match,
-            "ms": self.wall_time_ms,
-        }
+    ms: int
 
 
 FIBOCAT_CSV_COLUMNS = (

@@ -9,7 +9,13 @@ import pytest
 import fibwork.cli as cli
 from fibwork.cache import ENV_VAR, PolyCache, cache_key, resolve_cache_dir
 from fibwork.qpoly import Polynomial
-from fibwork.sweeps import CSV_COLUMNS, FIBOCAT_CSV_COLUMNS, SweepRecord, VerifyReport
+from fibwork.sweeps import (
+    CSV_COLUMNS,
+    FIBOCAT_CSV_COLUMNS,
+    SweepRecord,
+    VerifyReport,
+    analyze_pair,
+)
 from fibwork.tilings import enumerate_tilings, weight_degree
 
 
@@ -72,6 +78,31 @@ def test_cli_fibonomial_uses_and_fills_cache(tmp_path, capsys):
     assert second["record"]["checksum"] == first["record"]["checksum"]
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],  # truncated write
+        lambda text: '{"coeffs":["1","2"]}',  # tampered: no version/op/params
+    ],
+    ids=["truncated", "tampered"],
+)
+def test_cli_bad_cache_entry_is_a_miss_and_rewritten(tmp_path, damage):
+    out = tmp_path / "out.json"
+    cdir = tmp_path / "cache"
+    argv = ["fibonomial", "3", "3", "--cache-dir", str(cdir), "--out", str(out)]
+    assert run(argv) == 0
+    expected = json.loads(out.read_text())["coeffs"]
+    (entry,) = cdir.glob("*.json")
+    entry.write_text(damage(entry.read_text()))
+    assert run(argv) == 0
+    repaired = json.loads(out.read_text())
+    assert repaired["coeffs"] == expected
+    assert repaired["cached"] is False
+    assert repaired["record"]["symmetric"] is True
+    assert run(argv) == 0
+    assert json.loads(out.read_text())["cached"] is True
+
+
 def test_cli_cache_env_overrides_flag(tmp_path, monkeypatch):
     envdir = tmp_path / "from-env"
     monkeypatch.setenv(ENV_VAR, str(envdir))
@@ -105,6 +136,17 @@ def test_cli_fibonomial_stdout(capsys, tmp_path):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["coeffs"] == ["1"]
+
+
+def test_cli_fibonomial_record_matches_analyze_pair(tmp_path):
+    out = tmp_path / "q54.json"
+    rc = run(["fibonomial", "5", "4", "--cache-dir", str(tmp_path / "c"),
+              "--out", str(out)])
+    assert rc == 0
+    record = json.loads(out.read_text())["record"]
+    expected = analyze_pair((5, 4, None)).to_dict()
+    del record["wall_time_ms"], expected["wall_time_ms"]
+    assert record == expected
 
 
 # -- sweeps through the CLI --------------------------------------------------
@@ -254,6 +296,26 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
     )
     assert rc == 3
     assert "I/O error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fibonomial", "-1", "3"],
+        ["fibonomial", "3", "-2"],
+        ["chains", "0"],
+        ["render", "-1", "2"],
+        ["verify-conjecture", "--jobs", "0"],
+        ["verify-conjecture", "--jobs", "-3"],
+    ],
+)
+def test_cli_bad_numbers_exit_2(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default cache directory lands here
+    try:
+        rc = run(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        rc = exc.code
+    assert rc == 2
 
 
 def test_cli_version_flag(capsys):

@@ -1,4 +1,7 @@
+import hashlib
+
 from fibwork.fibonomial import qfibonomial
+from fibwork.qpoly import Polynomial
 from fibwork.sweeps import (
     CSV_COLUMNS,
     FIBOCAT_CSV_COLUMNS,
@@ -35,6 +38,12 @@ def test_poly_checksum_distinguishes():
     assert a != b
     assert a == poly_checksum(qfibonomial(3, 3))
     assert len(a) == 64
+
+
+def test_poly_checksum_spanning_chunks_matches_one_shot_hash():
+    p = Polynomial(range(1, 150_001))  # three chunks, the last one partial
+    one_shot = hashlib.sha256(",".join(map(str, p.coeffs)).encode()).hexdigest()
+    assert poly_checksum(p) == one_shot
 
 
 def test_verify_conjecture_small_grid_passes():
