@@ -5,7 +5,9 @@ SHA-256 of the canonical (op, params) key, so identical queries land on
 identical paths and a re-read must be bit-identical to what was stored.
 Coefficients are stored in Polynomial's JSON form (decimal strings — they
 routinely exceed 2^53, so they never pass through floats or native JSON
-numbers).  A damaged or mismatched entry reads as a miss.
+numbers), with the SHA-256 of those strings joined by commas, the same
+digest as sweeps.poly_checksum.  A damaged or mismatched entry reads as a
+miss.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ def resolve_cache_dir(cli_value: Optional[str] = None) -> Path:
     return Path(DEFAULT_DIR)
 
 
+def _coeffs_digest(coeffs: list[str]) -> str:
+    """SHA-256 of decimal-string coefficients joined by commas."""
+    return hashlib.sha256(",".join(coeffs).encode()).hexdigest()
+
+
 def cache_key(op: str, params: dict) -> str:
     canon = json.dumps({"op": op, "params": params}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -51,9 +58,9 @@ class PolyCache:
     def get(self, op: str, params: dict) -> Optional[Polynomial]:
         """The stored polynomial, or None on a miss.
 
-        An entry that is not valid JSON, lacks a field, or names another
-        format version, op or params is a miss too; the caller's next put
-        rewrites it.
+        An entry that is not valid JSON, lacks a field, names another
+        format version, op or params, or whose coefficients do not match
+        its checksum is a miss too; the caller's next put rewrites it.
         """
         path = self.path_for(op, params)
         if not path.exists():
@@ -63,7 +70,7 @@ class PolyCache:
                 entry = json.load(fh)
             if (entry["version"], entry["op"], entry["params"]) != (
                 FORMAT_VERSION, op, params
-            ):
+            ) or entry["checksum"] != _coeffs_digest(entry["coeffs"]):
                 return None
             return Polynomial.from_json_dict(entry)
         except (ValueError, KeyError, TypeError):
@@ -71,11 +78,13 @@ class PolyCache:
 
     def put(self, op: str, params: dict, poly: Polynomial) -> Path:
         path = self.path_for(op, params)
+        coeffs = poly.to_json_dict()["coeffs"]
         entry = {
             "version": FORMAT_VERSION,
             "op": op,
             "params": params,
-            **poly.to_json_dict(),
+            "coeffs": coeffs,
+            "checksum": _coeffs_digest(coeffs),
             "created": datetime.now(timezone.utc).isoformat(),
         }
         # atomic publish: never leave a half-written entry at the final path

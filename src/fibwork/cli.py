@@ -247,11 +247,17 @@ def cmd_chains(args) -> int:
     return EXIT_OK
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(lo: int):
+    """Argparse type: an integer no smaller than lo.  Range bounds use the
+    least value that still leaves their sweep non-empty."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
         if jobs:
-            sp.add_argument("--jobs", type=positive_int, default=1,
+            sp.add_argument("--jobs", type=int_at_least(1), default=1,
                             help="worker processes for the sweep")
         if out:
             sp.add_argument("--out", default=None,
@@ -290,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-conjecture",
         help="symmetry+unimodality sweep over the (m, n) grid",
     )
-    sp.add_argument("--max-sum", type=int, default=None)
-    sp.add_argument("--square-max", type=int, default=None)
+    sp.add_argument("--max-sum", type=int_at_least(2), default=None)
+    sp.add_argument("--square-max", type=int_at_least(0), default=None)
     common(sp, jobs=True)
     sp.set_defaults(fn=cmd_verify_conjecture)
 
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="exhaustive tiling enumeration vs. algebraic construction",
     )
-    sp.add_argument("--max-sum", type=int, default=None)
+    sp.add_argument("--max-sum", type=int_at_least(0), default=None)
     common(sp, fmt=False, out=False)
     sp.set_defaults(fn=cmd_oracle_check)
 
@@ -315,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fibocatalan-sweep",
         help="divisibility/nonnegativity sweep for qfibonomial / [F_{m+n}]_q",
     )
-    sp.add_argument("--max-sum", type=int, default=None)
+    sp.add_argument("--max-sum", type=int_at_least(2), default=None)
     common(sp)
     sp.set_defaults(fn=cmd_fibocatalan_sweep)
 
@@ -323,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lab-scan",
         help="predicate-vs-actual unimodality scan over q-analog products",
     )
-    sp.add_argument("--k-max", type=int, default=None)
-    sp.add_argument("--r-max", type=int, default=None)
-    sp.add_argument("--value-max", type=int, default=None)
+    sp.add_argument("--k-max", type=int_at_least(1), default=None)
+    sp.add_argument("--r-max", type=int_at_least(2), default=None)
+    sp.add_argument("--value-max", type=int_at_least(1), default=None)
     common(sp, fmt=False, jobs=True)
     sp.set_defaults(fn=cmd_lab_scan)
 

@@ -78,27 +78,41 @@ def test_cli_fibonomial_uses_and_fills_cache(tmp_path, capsys):
     assert second["record"]["checksum"] == first["record"]["checksum"]
 
 
+def _edit_entry(text, **changes):
+    entry = json.loads(text)
+    entry.update(changes)
+    return json.dumps({k: v for k, v in entry.items() if v is not None})
+
+
 @pytest.mark.parametrize(
     "damage",
     [
         lambda text: text[: len(text) // 2],  # truncated write
         lambda text: '{"coeffs":["1","2"]}',  # tampered: no version/op/params
+        lambda text: _edit_entry(text, coeffs=["1", "2"]),  # header intact
+        lambda text: _edit_entry(text, checksum=None),  # checksum dropped
     ],
-    ids=["truncated", "tampered"],
+    ids=["truncated", "tampered", "altered-coeffs", "no-checksum"],
 )
 def test_cli_bad_cache_entry_is_a_miss_and_rewritten(tmp_path, damage):
     out = tmp_path / "out.json"
     cdir = tmp_path / "cache"
     argv = ["fibonomial", "3", "3", "--cache-dir", str(cdir), "--out", str(out)]
     assert run(argv) == 0
-    expected = json.loads(out.read_text())["coeffs"]
+    uncached = json.loads(out.read_text())
     (entry,) = cdir.glob("*.json")
+    stored = json.loads(entry.read_text())
+    assert stored["checksum"] == uncached["record"]["checksum"]
     entry.write_text(damage(entry.read_text()))
     assert run(argv) == 0
     repaired = json.loads(out.read_text())
-    assert repaired["coeffs"] == expected
+    assert repaired["coeffs"] == uncached["coeffs"]
     assert repaired["cached"] is False
-    assert repaired["record"]["symmetric"] is True
+    del repaired["record"]["wall_time_ms"], uncached["record"]["wall_time_ms"]
+    assert repaired["record"] == uncached["record"]
+    rewritten = json.loads(entry.read_text())
+    del rewritten["created"], stored["created"]
+    assert rewritten == stored
     assert run(argv) == 0
     assert json.loads(out.read_text())["cached"] is True
 
@@ -316,6 +330,30 @@ def test_cli_bad_numbers_exit_2(argv, tmp_path, monkeypatch):
     except SystemExit as exc:  # argparse rejects the value itself
         rc = exc.code
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command,flag,least",
+    [
+        ("verify-conjecture", "--max-sum", 2),
+        ("verify-conjecture", "--square-max", 0),
+        ("fibocatalan-sweep", "--max-sum", 2),
+        ("oracle-check", "--max-sum", 0),
+        ("lab-scan", "--k-max", 1),
+        ("lab-scan", "--r-max", 2),
+        ("lab-scan", "--value-max", 1),
+        ("lab-scan", "--jobs", 1),
+    ],
+)
+def test_cli_range_bound_below_least_value_exits_2(
+    command, flag, least, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([command, flag, str(least - 1)])
+    assert exc.value.code == 2
+    assert f"must be at least {least}" in capsys.readouterr().err
+    assert run([command, flag, str(least)]) == 0
 
 
 def test_cli_version_flag(capsys):

@@ -1,8 +1,8 @@
 import pytest
 
 from fibwork.fib import fib, zeckendorf
-from fibwork.fibonomial import fibonomial, qfibonomial
-from fibwork.qpoly import q_analog
+from fibwork.fibonomial import fibonomial, qfibonomial, qfibonomial_degree
+from fibwork.qpoly import Polynomial, q_analog
 from fibwork.tilings import (
     EnumerationCapExceeded,
     HeightProfile,
@@ -112,6 +112,14 @@ def test_enumeration_count_and_determinism(m, n):
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(0, 7) for n in range(0, 7) if m + n <= 6])
 def test_polynomial_matches_algebraic_route(m, n):
     assert tiling_polynomial(m, n) == qfibonomial(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(0, 0), (1, 3), (3, 3), (4, 2), (2, 5), (5, 3)])
+def test_polynomial_is_histogram_of_enumerated_weights(m, n):
+    counts = [0] * (qfibonomial_degree(m, n) + 1)
+    for t in enumerate_tilings(m, n):
+        counts[weight_degree(t)] += 1
+    assert tiling_polynomial(m, n) == Polynomial(counts)
 
 
 @pytest.mark.parametrize("m", range(0, 7))
