@@ -45,17 +45,22 @@ EXIT_FINDING = 1
 EXIT_REFUSED = 2
 EXIT_IO = 3
 
-# --budget presets: (verify max-sum, verify square-max, oracle max-sum,
-# fibocatalan max-sum, lab (k, r, value), soft per-pair ms)
+# --budget presets, per subcommand: the value of each flag left unset.
+# soft_ms (the per-pair soft time budget) has no flag, so it always comes
+# from the preset.
 BUDGETS = {
-    "default": dict(
-        max_sum=14, square_max=8, oracle_sum=8, fibocat_sum=12,
-        lab=(3, 3, 8), soft_ms=600_000,
-    ),
-    "extended": dict(
-        max_sum=20, square_max=16, oracle_sum=10, fibocat_sum=16,
-        lab=(5, 6, 15), soft_ms=3_600_000,
-    ),
+    "default": {
+        "verify-conjecture": dict(max_sum=14, square_max=8, soft_ms=600_000),
+        "oracle-check": dict(max_sum=8),
+        "fibocatalan-sweep": dict(max_sum=12),
+        "lab-scan": dict(k_max=3, r_max=3, value_max=8),
+    },
+    "extended": {
+        "verify-conjecture": dict(max_sum=20, square_max=16, soft_ms=3_600_000),
+        "oracle-check": dict(max_sum=10),
+        "fibocatalan-sweep": dict(max_sum=16),
+        "lab-scan": dict(k_max=5, r_max=6, value_max=15),
+    },
 }
 
 
@@ -97,14 +102,9 @@ def cmd_fibonomial(args) -> int:
 
 
 def cmd_verify_conjecture(args) -> int:
-    budget = BUDGETS[args.budget]
-    max_sum = args.max_sum if args.max_sum is not None else budget["max_sum"]
-    square_max = (
-        args.square_max if args.square_max is not None else budget["square_max"]
-    )
     report = verify_conjecture(
-        max_sum=max_sum, square_max=square_max, jobs=args.jobs,
-        soft_ms=budget["soft_ms"],
+        max_sum=args.max_sum, square_max=args.square_max, jobs=args.jobs,
+        soft_ms=args.soft_ms,
     )
     if args.format == "csv":
         text = _records_csv(CSV_COLUMNS, [r.csv_row() for r in report.records])
@@ -118,7 +118,7 @@ def cmd_verify_conjecture(args) -> int:
     slow = [r for r in report.records if r.timed_out]
     print(
         f"verify-conjecture: {len(report.records)} pairs "
-        f"(m+n <= {max_sum}, squares <= {square_max}), "
+        f"(m+n <= {args.max_sum}, squares <= {args.square_max}), "
         f"{len(report.failures)} failures, {len(slow)} over soft budget",
         file=sys.stderr,
     )
@@ -134,9 +134,7 @@ def cmd_verify_conjecture(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    budget = BUDGETS[args.budget]
-    max_sum = args.max_sum if args.max_sum is not None else budget["oracle_sum"]
-    report = oracle_check(max_sum=max_sum)
+    report = oracle_check(max_sum=args.max_sum)
     print(
         f"oracle-check: {report.pairs_checked} pairs and "
         f"{report.n2_rows_checked} two-row decompositions checked, "
@@ -186,9 +184,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_fibocatalan_sweep(args) -> int:
-    budget = BUDGETS[args.budget]
-    max_sum = args.max_sum if args.max_sum is not None else budget["fibocat_sum"]
-    report = fibocatalan_sweep(max_sum=max_sum)
+    report = fibocatalan_sweep(max_sum=args.max_sum)
     if args.format == "csv":
         text = _records_csv(
             FIBOCAT_CSV_COLUMNS,
@@ -202,7 +198,7 @@ def cmd_fibocatalan_sweep(args) -> int:
         ) + "\n"
     _write_text(args.out, text)
     print(
-        f"fibocatalan-sweep: {len(report.rows)} pairs (m+n <= {max_sum}), "
+        f"fibocatalan-sweep: {len(report.rows)} pairs (m+n <= {args.max_sum}), "
         f"{len(report.violations)} violations",
         file=sys.stderr,
     )
@@ -210,20 +206,12 @@ def cmd_fibocatalan_sweep(args) -> int:
 
 
 def cmd_lab_scan(args) -> int:
-    budget = BUDGETS[args.budget]
-    k_max, r_max, value_max = budget["lab"]
-    if args.k_max is not None:
-        k_max = args.k_max
-    if args.r_max is not None:
-        r_max = args.r_max
-    if args.value_max is not None:
-        value_max = args.value_max
-    report = scan_products(k_max, r_max, value_max, jobs=args.jobs)
+    report = scan_products(args.k_max, args.r_max, args.value_max, jobs=args.jobs)
     lines = [f.to_json_line() for f in report.findings]
     _write_text(args.out, "".join(line + "\n" for line in lines))
     print(
         f"lab-scan: {report.checked} product specs "
-        f"(k <= {k_max}, r <= {r_max}, values <= {value_max}); "
+        f"(k <= {args.k_max}, r <= {args.r_max}, values <= {args.value_max}); "
         f"{len(report.sufficiency_violations)} sufficiency violations, "
         f"{len(report.necessity_violations)} necessity findings",
         file=sys.stderr,
@@ -346,6 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "budget"):
+        for name, value in BUDGETS[args.budget][args.command].items():
+            if getattr(args, name, None) is None:
+                setattr(args, name, value)
     try:
         return args.fn(args)
     except EnumerationCapExceeded as e:

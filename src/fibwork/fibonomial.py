@@ -14,7 +14,10 @@ q-analogs cancel, leaving the binomial product
 
     qfibonomial(m, n) = prod_{k=1..n} (1 - q^{F_{m+k}}) / (1 - q^{F_k}),
 
-which costs one shifted subtract and one prefix-sum division per k.
+which costs one shifted subtract and one prefix-sum division per k.  The
+q-FiboCatalan quotient qfibonomial(m, n) / [F_{m+n}]_q is one more step of
+the same kind, since [F]_q = (1 - q^F) / (1 - q): multiply by 1 - q, then
+divide by 1 - q^{F_{m+n}}.  Every division here is div_one_minus_q_power.
 """
 
 from __future__ import annotations
@@ -22,13 +25,7 @@ from __future__ import annotations
 import math
 
 from .fib import fib
-from .qpoly import (
-    NotDivisibleError,
-    Polynomial,
-    div_one_minus_q_power,
-    exact_div,
-    q_analog,
-)
+from .qpoly import NotDivisibleError, Polynomial, div_one_minus_q_power
 
 
 def fibonomial(m: int, n: int) -> int:
@@ -50,6 +47,18 @@ def qfibonomial_degree(m: int, n: int) -> int:
     return fib(m + n + 2) - fib(m + 2) - fib(n + 2) + 1
 
 
+def _cancel_step(c: list, up: int, down: int) -> list:
+    """c * (1 - q^up) / (1 - q^down), in place on the coefficient list c.
+
+    A shifted subtract (high end down), then div_one_minus_q_power, which
+    raises NotDivisibleError on a nonzero tail.
+    """
+    c.extend([0] * up)
+    for i in range(len(c) - 1, up - 1, -1):
+        c[i] -= c[i - up]
+    return div_one_minus_q_power(c, down)
+
+
 def qfibonomial(m: int, n: int) -> Polynomial:
     """The q-Fibonomial coefficient as an exact integer polynomial.
 
@@ -69,11 +78,7 @@ def qfibonomial(m: int, n: int) -> Polynomial:
         m, n = n, m
     c = [1]
     for k in range(1, n + 1):
-        s = fib(m + k)
-        c.extend([0] * s)
-        for i in range(len(c) - 1, s - 1, -1):
-            c[i] -= c[i - s]
-        div_one_minus_q_power(c, fib(k))
+        _cancel_step(c, fib(m + k), fib(k))
     quo = Polynomial(c)
     if quo.is_zero() or quo.degree != qfibonomial_degree(m, n):
         raise ArithmeticError(
@@ -126,10 +131,22 @@ def qfibocatalan(m: int, n: int) -> Polynomial:
     A polynomial with integer coefficients whenever gcd(m, n) is 1 or 2;
     outside that the division legitimately fails and the NotDivisibleError
     carries the residual as the finding.
+
+    Computed as one more cancelled step on qfibonomial(m, n): times 1 - q,
+    then divided by 1 - q^{F_{m+n}}.  Both divisions run from the constant
+    term up and find the same quotient, so when the step fails its
+    remainder is (1 - q) times the remainder R of dividing by [F_{m+n}]_q;
+    the error carries R, with qfibonomial(m, n) == quotient * [F]_q + R, as
+    general synthetic division by [F]_q reports it.
     """
     if m < 1 or n < 1:
         raise ValueError(f"qfibocatalan needs m, n >= 1, got ({m}, {n})")
-    return exact_div(qfibonomial(m, n), q_analog(fib(m + n)))
+    c = list(qfibonomial(m, n).coeffs)
+    try:
+        return Polynomial(_cancel_step(c, 1, fib(m + n)))
+    except NotDivisibleError as e:
+        rem = div_one_minus_q_power(list(e.remainder.coeffs), 1)
+        raise NotDivisibleError(Polynomial(rem)) from None
 
 
 def telescoped_fibocatalan(m: int, n: int) -> Polynomial:

@@ -18,7 +18,7 @@ from .fib import fib
 
 
 class NotDivisibleError(ArithmeticError):
-    """Raised by exact_div when the divisor does not divide the dividend.
+    """Raised by a division when the divisor does not divide the dividend.
 
     Carries the nonzero residual so callers can report it as a finding
     instead of a crash: dividend == quotient * divisor + remainder.
@@ -211,6 +211,10 @@ def mul(p: Polynomial, r: Polynomial) -> Polynomial:
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     """Quotient p / d when d divides p exactly; else NotDivisibleError.
 
+    The general division by an arbitrary polynomial: public API and the
+    reference the tests divide with.  No construction in the package calls
+    it; they all divide through div_one_minus_q_power.
+
     Synthetic division from the constant term up, justified by the
     precondition that the lowest nonzero coefficient of d is +-1 (true of
     every q-analog and every product of q-analogs).  Intermediate values
@@ -258,9 +262,10 @@ def div_one_minus_q_power(coeffs: list, k: int) -> list:
 
     Prefix-sum recurrence out[i] = c[i] + out[i-k].  Exactness requires the
     last k running sums to vanish; raises NotDivisibleError otherwise.
-    This is the division step of qfibonomial's cancelled binomial product,
-    so it runs once per factor on the mainline; exact_div is the general
-    division by an arbitrary polynomial.
+    This is the division used on every production path: once per factor
+    of qfibonomial's cancelled binomial product, once more for the
+    q-FiboCatalan quotient; exact_div is the general division by an
+    arbitrary polynomial.
     """
     if k < 1:
         raise ValueError("power must be >= 1")

@@ -31,7 +31,12 @@ from .qpoly import (
     is_symmetric,
     is_unimodal,
 )
-from .tilings import DEFAULT_ENUMERATION_CAP, tiling_polynomial
+from .tilings import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapExceeded,
+    tiling_count,
+    tiling_polynomial,
+)
 
 CSV_COLUMNS = (
     "m",
@@ -186,11 +191,19 @@ def oracle_check(
 ) -> OracleReport:
     """Tiling enumeration vs. algebraic construction, coefficient for
     coefficient, on every pair with m + n <= max_sum; additionally the
-    two-row chain reconstruction vs. the closed form."""
+    two-row chain reconstruction vs. the closed form.
+
+    Refuses before any work when a pair of the range is over the cap; the
+    two-row boards are pairs of the range too.
+    """
     mismatches = []
     pairs = [
         (m, s - m) for s in range(0, max_sum + 1) for m in range(0, s + 1)
     ]
+    for m, n in pairs:
+        projected = tiling_count(m, n)
+        if projected > cap:
+            raise EnumerationCapExceeded(m, n, projected, cap)
     for m, n in pairs:
         combinatorial = tiling_polynomial(m, n, cap=cap)
         algebraic = qfibonomial(m, n)

@@ -170,6 +170,22 @@ def test_telescoping_agrees_with_division(m, n):
     assert telescoped_fibocatalan(m, n) == qfibocatalan(m, n)
 
 
+def test_fibocatalan_matches_general_division_up_to_sum_14():
+    # general synthetic division by [F_{m+n}]_q is the independent reference
+    for s in range(2, 15):
+        for m in range(1, s):
+            n = s - m
+            p, d = qfibonomial(m, n), q_analog(fib(m + n))
+            try:
+                expected = exact_div(p, d)
+            except NotDivisibleError as ref:
+                with pytest.raises(NotDivisibleError) as exc:
+                    qfibocatalan(m, n)
+                assert exc.value.remainder == ref.remainder, (m, n)
+            else:
+                assert qfibocatalan(m, n) == expected, (m, n)
+
+
 def test_telescoped_rejects_large_gcd():
     with pytest.raises(ValueError):
         telescoped_fibocatalan(3, 3)

@@ -313,6 +313,32 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,summary",
+    [
+        # a flag left out takes its preset's value
+        (["verify-conjecture"], "92 pairs (m+n <= 14, squares <= 8)"),
+        (["verify-conjecture", "--max-sum", "4"], "(m+n <= 4, squares <= 8)"),
+        (["fibocatalan-sweep"], "66 pairs (m+n <= 12)"),
+        (["lab-scan"], "(k <= 3, r <= 3, values <= 8)"),
+        (["oracle-check", "--budget", "extended"], "oracle-check: 66 pairs"),
+        # an explicit flag beats the preset
+        (["verify-conjecture", "--budget", "extended", "--max-sum", "4",
+          "--square-max", "3"], "(m+n <= 4, squares <= 3)"),
+        (["fibocatalan-sweep", "--budget", "extended", "--max-sum", "5"],
+         "10 pairs (m+n <= 5)"),
+        (["lab-scan", "--budget", "extended", "--k-max", "1", "--r-max", "2",
+          "--value-max", "3"], "(k <= 1, r <= 2, values <= 3)"),
+        (["oracle-check", "--budget", "extended", "--max-sum", "3"],
+         "oracle-check: 10 pairs"),
+    ],
+)
+def test_cli_budget_preset_fills_only_omitted_flags(argv, summary, tmp_path, capsys):
+    out = [] if argv[0] == "oracle-check" else ["--out", str(tmp_path / "out")]
+    assert run(argv + out) == 0
+    assert summary in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["fibonomial", "-1", "3"],

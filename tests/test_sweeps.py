@@ -1,5 +1,8 @@
 import hashlib
 
+import pytest
+
+import fibwork.sweeps as sweeps
 from fibwork.fibonomial import qfibonomial
 from fibwork.qpoly import Polynomial
 from fibwork.sweeps import (
@@ -12,6 +15,7 @@ from fibwork.sweeps import (
     poly_checksum,
     verify_conjecture,
 )
+from fibwork.tilings import EnumerationCapExceeded
 
 
 def test_conjecture_pairs_grid():
@@ -68,6 +72,21 @@ def test_oracle_check_counts_and_passes():
     assert report.ok
     assert report.pairs_checked == 28  # all (m, n) with m + n <= 6
     assert report.n2_rows_checked == 4  # m in 1..4
+
+
+def test_oracle_check_refuses_before_any_pair(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("tiling_polynomial called before the refusal")
+
+    monkeypatch.setattr(sweeps, "tiling_polynomial", no_work)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        oracle_check(max_sum=12)
+    # the first pair of the range over the cap, in the range's own order
+    assert (exc.value.m, exc.value.n) == (5, 7)
+    assert exc.value.projected == 16_776_144
+    assert str(exc.value) == (
+        "enumerating (5,7) means 16776144 tilings, above the cap 10000000"
+    )
 
 
 def test_fibocatalan_sweep_shape():
