@@ -131,19 +131,24 @@ def qfibocatalan(m: int, n: int) -> Polynomial:
     A polynomial with integer coefficients whenever gcd(m, n) is 1 or 2;
     outside that the division legitimately fails and the NotDivisibleError
     carries the residual as the finding.
-
-    Computed as one more cancelled step on qfibonomial(m, n): times 1 - q,
-    then divided by 1 - q^{F_{m+n}}.  Both divisions run from the constant
-    term up and find the same quotient, so when the step fails its
-    remainder is (1 - q) times the remainder R of dividing by [F_{m+n}]_q;
-    the error carries R, with qfibonomial(m, n) == quotient * [F]_q + R, as
-    general synthetic division by [F]_q reports it.
     """
     if m < 1 or n < 1:
         raise ValueError(f"qfibocatalan needs m, n >= 1, got ({m}, {n})")
-    c = list(qfibonomial(m, n).coeffs)
+    return _fibocatalan_quotient(qfibonomial(m, n).coeffs, fib(m + n))
+
+
+def _fibocatalan_quotient(a: tuple, F: int) -> Polynomial:
+    """The polynomial with coefficients a divided by [F]_q.
+
+    Computed as one more cancelled step: times 1 - q, then divided by
+    1 - q^F.  Both divisions run from the constant term up and find the
+    same quotient, so when the step fails its remainder is (1 - q) times
+    the remainder R of dividing by [F]_q; the error carries R, with
+    a == quotient * [F]_q + R, as general synthetic division by [F]_q
+    reports it.
+    """
     try:
-        return Polynomial(_cancel_step(c, 1, fib(m + n)))
+        return Polynomial(_cancel_step(list(a), 1, F))
     except NotDivisibleError as e:
         rem = div_one_minus_q_power(list(e.remainder.coeffs), 1)
         raise NotDivisibleError(Polynomial(rem)) from None
@@ -165,8 +170,12 @@ def telescoped_fibocatalan(m: int, n: int) -> Polynomial:
         raise ValueError(
             f"telescoping form only applies when gcd(m, n) is 1 or 2, got gcd {math.gcd(m, n)}"
         )
-    a = qfibonomial(m, n).coeffs
-    F = fib(m + n)
+    return _telescoped_quotient(qfibonomial(m, n).coeffs, fib(m + n))
+
+
+def _telescoped_quotient(a: tuple, F: int) -> Polynomial:
+    """The telescoping sum c_i = sum_k (a_{i-kF} - a_{i-kF-1}) over the
+    coefficients a, for quotients by [F]_q known to be exact."""
     top = len(a) - 1 - (F - 1)
     out = []
     for i in range(top + 1):

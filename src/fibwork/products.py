@@ -14,15 +14,25 @@ criteria for small shapes and by a scanned predicate in general:
     r divides some a_i, or b <= 1 + sum over i of floor(a_i / r).
 
 scan_products sweeps a parameter box, compares the predicate against the
-actual coefficient check, and reports violations in both directions.
+actual coefficient check, and reports violations in both directions.  It
+works through the box in scan order one (k, r) block at a time.  A block
+builds the product P of each k-combination once, from the product of its
+prefix; grows P [b]_{q^r} from P [b-1]_{q^r} by adding q^{(b-1)r} P, one
+shifted add per b; evaluates the predicate once per combination as the
+largest b it accepts; and builds a ProductSpec only for a finding.  The
+extended box (k <= 5, r <= 6, values <= 15: 1,162,725 specs) takes about
+11 s on one core of a 2-CPU VM with a 25 MB peak; --jobs N maps the same
+blocks over a process pool.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 from .qpoly import ONE, Polynomial, is_unimodal, mul_q_analog
 
@@ -101,12 +111,17 @@ def loss_count(k: int, a: int, b: int, c: int) -> int:
     return max(0, hi - lo + 1)
 
 
+def _largest_accepted_base(factors: tuple[int, ...], r: int) -> float:
+    """The largest b the predicate accepts for [a_1]_q ... [a_k]_q [b]_{q^r}:
+    unbounded (inf) when r divides some a_i, else 1 + sum floor(a_i / r)."""
+    if any(a % r == 0 for a in factors):
+        return math.inf
+    return 1 + sum(a // r for a in factors)
+
+
 def product_unimodal_predicate(spec: ProductSpec) -> bool:
     """r | a_i for some i, or base <= 1 + sum floor(a_i / r)."""
-    r = spec.stride
-    if any(a % r == 0 for a in spec.plain_factors):
-        return True
-    return spec.base <= 1 + sum(a // r for a in spec.plain_factors)
+    return spec.base <= _largest_accepted_base(spec.plain_factors, spec.stride)
 
 
 @dataclass(frozen=True)
@@ -144,28 +159,46 @@ class ScanReport:
         return [f for f in self.findings if f.kind == NECESSITY_VIOLATION]
 
 
-def _scan_specs(k_max: int, r_max: int, value_max: int) -> list[ProductSpec]:
-    specs = []
-    for k in range(1, k_max + 1):
-        for r in range(2, r_max + 1):
-            for combo in itertools.combinations_with_replacement(
-                range(1, value_max + 1), k
-            ):
-                for b in range(1, value_max + 1):
-                    specs.append(ProductSpec(combo, b, r))
-    return specs
+def _combination_products(
+    k: int, value_max: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(combo, coefficients of [a_1]_q ... [a_k]_q) for every ascending
+    k-combination of 1..value_max, in itertools.combinations_with_replacement
+    order; each product is one mul_q_analog on the product of its prefix."""
+
+    def walk(prefix, p, low):
+        if len(prefix) == k:
+            yield prefix, p.coeffs
+            return
+        for a in range(low, value_max + 1):
+            yield from walk(prefix + (a,), mul_q_analog(p, a), a)
+
+    return walk((), ONE, 1)
 
 
-def _scan_chunk(specs: list[ProductSpec]) -> list[ScanFinding]:
+def _scan_block(block: tuple[int, int, int]) -> tuple[int, list[ScanFinding]]:
+    """Scan every spec with k plain factors and stride r; returns the number
+    of specs checked and the findings in scan order."""
+    k, r, value_max = block
+    add = operator.add
+    pad = [0] * r
+    checked = 0
     out = []
-    for spec in specs:
-        uni, _ = is_unimodal(spec.polynomial())
-        pred = product_unimodal_predicate(spec)
-        if pred and not uni:
-            out.append(ScanFinding(SUFFICIENCY_VIOLATION, spec, uni, pred))
-        elif uni and not pred:
-            out.append(ScanFinding(NECESSITY_VIOLATION, spec, uni, pred))
-    return out
+    for combo, p in _combination_products(k, value_max):
+        top = _largest_accepted_base(combo, r)
+        c = list(p)  # coefficients of P [b]_{q^r}, starting at b = 1
+        for b in range(1, value_max + 1):
+            if b > 1:
+                c += pad
+                shift = (b - 1) * r
+                c[shift:] = map(add, c[shift:], p)
+            uni, _ = is_unimodal(Polynomial(c))
+            pred = b <= top
+            if uni != pred:
+                kind = SUFFICIENCY_VIOLATION if pred else NECESSITY_VIOLATION
+                out.append(ScanFinding(kind, ProductSpec(combo, b, r), uni, pred))
+        checked += value_max
+    return checked, out
 
 
 def scan_products(
@@ -174,16 +207,19 @@ def scan_products(
     """Compare predicate vs. actual unimodality over the whole box
     1 <= a_i, b <= value_max, 1 <= k <= k_max, 2 <= r <= r_max.
 
-    Findings come back in deterministic scan order regardless of jobs.
+    The box splits into one block per (k, r); with jobs > 1 a process pool
+    maps the same blocks.  Findings come back in deterministic scan order
+    regardless of jobs.
     """
-    specs = _scan_specs(k_max, r_max, value_max)
-    if jobs <= 1:
-        findings = _scan_chunk(specs)
-    else:
-        chunk = max(1, len(specs) // (jobs * 8))
-        chunks = [specs[i : i + chunk] for i in range(0, len(specs), chunk)]
-        findings = []
+    blocks = [
+        (k, r, value_max) for k in range(1, k_max + 1) for r in range(2, r_max + 1)
+    ]
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_scan_chunk, chunks):
-                findings.extend(part)
-    return ScanReport(checked=len(specs), findings=findings)
+            parts = list(pool.map(_scan_block, blocks))
+    else:
+        parts = list(map(_scan_block, blocks))
+    return ScanReport(
+        checked=sum(n for n, _ in parts),
+        findings=[f for _, found in parts for f in found],
+    )

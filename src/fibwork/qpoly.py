@@ -12,6 +12,7 @@ serialization) ever round-trips a coefficient through a float.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Optional
 
 from .fib import fib
@@ -25,8 +26,13 @@ class NotDivisibleError(ArithmeticError):
     """
 
     def __init__(self, remainder: "Polynomial"):
-        super().__init__(f"not divisible; remainder {remainder}")
+        super().__init__(remainder)
         self.remainder = remainder
+
+    def __str__(self) -> str:
+        # formatted on demand: callers that only catch the error never pay
+        # for printing a long remainder
+        return f"not divisible; remainder {self.remainder}"
 
 
 class Polynomial:
@@ -301,10 +307,20 @@ def is_unimodal(p: Polynomial) -> tuple[bool, Optional[int]]:
     On failure returns (False, k) where k is the smallest index entered by
     a strict fall that is followed, anywhere later, by a strict rise.
     Defined for nonzero polynomials with nonnegative coefficients.
+
+    A palindrome is unimodal exactly when its lower half rises weakly to
+    the middle, so that case is decided on half the coefficients; any
+    other sequence, or a palindrome with a dip, takes the full scan that
+    locates the first fall.
     """
     c = _require_nonzero(p, "unimodality")
-    if any(v < 0 for v in c):
+    h = len(c) // 2
+    rising_palindrome = c == c[::-1] and all(map(operator.le, c[:h], c[1 : h + 1]))
+    # a rising palindrome's least coefficient is its first
+    if (c[0] if rising_palindrome else min(c)) < 0:
         raise ValueError("unimodality check expects nonnegative coefficients")
+    if rising_palindrome:
+        return (True, None)
     first_fall_to = None
     for i in range(1, len(c)):
         if c[i] < c[i - 1]:

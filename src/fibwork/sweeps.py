@@ -19,10 +19,10 @@ from typing import Optional
 from .chains import decompose
 from .fib import fib
 from .fibonomial import (
+    _fibocatalan_quotient,
+    _telescoped_quotient,
     closed_form_n2,
-    qfibocatalan,
     qfibonomial,
-    telescoped_fibocatalan,
 )
 from .qpoly import (
     NotDivisibleError,
@@ -280,13 +280,15 @@ def fibocatalan_sweep(max_sum: int = 12) -> FibocatReport:
             n = s - m
             t0 = time.perf_counter()
             g = math.gcd(m, n)
-            parent_unimodal, _ = is_unimodal(qfibonomial(m, n))
+            parent = qfibonomial(m, n)
+            F = fib(m + n)
+            parent_unimodal, _ = is_unimodal(parent)
             try:
-                quo = qfibocatalan(m, n)
+                quo = _fibocatalan_quotient(parent.coeffs, F)
                 divisible = True
                 nonneg = all(c >= 0 for c in quo.coeffs)
                 if g in (1, 2):
-                    tele = telescoped_fibocatalan(m, n)
+                    tele = _telescoped_quotient(parent.coeffs, F)
                     telescoping_match = tele == quo
                 else:
                     telescoping_match = None

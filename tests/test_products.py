@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -127,6 +128,39 @@ def test_scan_finds_the_counterexample():
     ]
     assert len(hits) == 1
     assert hits[0].unimodal and not hits[0].predicate
+
+
+def reference_scan(k_max, r_max, value_max):
+    """Spec by spec: the full product, is_unimodal and the public predicate."""
+    checked, findings = 0, []
+    for k in range(1, k_max + 1):
+        for r in range(2, r_max + 1):
+            for combo in itertools.combinations_with_replacement(
+                range(1, value_max + 1), k
+            ):
+                for b in range(1, value_max + 1):
+                    spec = ProductSpec(combo, b, r)
+                    uni, _ = is_unimodal(spec.polynomial())
+                    pred = product_unimodal_predicate(spec)
+                    checked += 1
+                    if uni != pred:
+                        kind = SUFFICIENCY_VIOLATION if pred else NECESSITY_VIOLATION
+                        findings.append((kind, combo, b, r, uni, pred))
+    return checked, findings
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("box", [(4, 4, 4), (2, 5, 9), (5, 3, 3)])
+def test_scan_matches_per_spec_reference(box, jobs):
+    checked, expected = reference_scan(*box)
+    report = scan_products(*box, jobs=jobs)
+    assert report.checked == checked
+    got = [
+        (f.kind, f.spec.plain_factors, f.spec.base, f.spec.stride, f.unimodal,
+         f.predicate)
+        for f in report.findings
+    ]
+    assert got == expected
 
 
 def test_scan_parallel_matches_sequential():

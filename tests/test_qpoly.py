@@ -131,6 +131,21 @@ def test_exact_div_remainder_is_exponent_faithful():
     assert exc.value.remainder == Polynomial([0, 0, 1])
 
 
+def test_not_divisible_error_formats_its_remainder_on_demand(monkeypatch):
+    formatted = []
+    plain_repr = Polynomial.__repr__
+
+    def counting_repr(p):
+        formatted.append(p)
+        return plain_repr(p)
+
+    monkeypatch.setattr(Polynomial, "__repr__", counting_repr)
+    rem = Polynomial([0, 0, 3, 1])
+    e = NotDivisibleError(rem)
+    assert e.remainder is rem and formatted == []
+    assert str(e) == "not divisible; remainder Polynomial(3*q^2 + q^3)"
+
+
 def test_exact_div_shared_low_zeros():
     p = Polynomial([0, 0, 1, 1])
     d = Polynomial([0, 1])
@@ -159,6 +174,54 @@ def test_is_unimodal_reports_first_descent_breach():
     assert is_unimodal(Polynomial([1, 2, 2, 1])) == (True, None)
     assert is_unimodal(ONE) == (True, None)
     assert is_unimodal(Polynomial([1, 1, 2, 1, 2, 1, 1])) == (False, 3)
+
+
+def loop_is_unimodal(c):
+    """The full first-fall scan, without the palindrome shortcut."""
+    if min(c) < 0:
+        raise ValueError("negative coefficient")
+    first_fall_to = None
+    for i in range(1, len(c)):
+        if c[i] < c[i - 1]:
+            if first_fall_to is None:
+                first_fall_to = i
+        elif c[i] > c[i - 1] and first_fall_to is not None:
+            return (False, first_fall_to)
+    return (True, None)
+
+
+def outcome(f, c):
+    try:
+        return f(c)
+    except ValueError:
+        return "ValueError"
+
+
+small_coeffs = st.lists(st.integers(min_value=-1, max_value=6), min_size=1, max_size=25)
+palindromes = st.tuples(small_coeffs, st.lists(st.integers(0, 6), max_size=1)).map(
+    lambda t: t[0] + t[1] + t[0][::-1]
+)
+
+
+@given(st.one_of(palindromes, small_coeffs))
+@settings(max_examples=400)
+def test_is_unimodal_matches_full_scan(c):
+    # palindromes (some rising, some with dips) and arbitrary sequences,
+    # including negative entries, which both must refuse
+    if c[-1] == 0:
+        c = c + [1]
+    assert outcome(lambda v: is_unimodal(Polynomial(v)), c) == outcome(
+        loop_is_unimodal, c
+    )
+
+
+def test_is_unimodal_palindrome_cases():
+    assert is_unimodal(Polynomial([1, 3, 3, 1])) == (True, None)
+    assert is_unimodal(Polynomial([2, 2, 2])) == (True, None)
+    assert is_unimodal(Polynomial([2, 1, 3, 1, 2])) == (False, 1)
+    assert is_unimodal(Polynomial([1, 2, 1, 1, 2, 1])) == (False, 2)
+    with pytest.raises(ValueError):
+        is_unimodal(Polynomial([-1, 0, -1]))  # rises to its middle
 
 
 def test_is_unimodal_rejects_bad_input():

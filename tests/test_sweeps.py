@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import pytest
 
@@ -87,6 +88,22 @@ def test_oracle_check_refuses_before_any_pair(monkeypatch):
     assert str(exc.value) == (
         "enumerating (5,7) means 16776144 tilings, above the cap 10000000"
     )
+
+
+def test_fibocatalan_sweep_builds_one_qfibonomial_per_pair(monkeypatch):
+    # the package re-exports a function named fibonomial over the module name
+    fibonomial = importlib.import_module("fibwork.fibonomial")
+    calls = []
+
+    def counted(m, n):
+        calls.append((m, n))
+        return qfibonomial(m, n)
+
+    monkeypatch.setattr(fibonomial, "qfibonomial", counted)
+    monkeypatch.setattr(sweeps, "qfibonomial", counted)
+    report = fibocatalan_sweep(max_sum=10)
+    assert sorted(calls) == sorted((r.m, r.n) for r in report.rows)
+    assert len(calls) == len(report.rows) == 45
 
 
 def test_fibocatalan_sweep_shape():
