@@ -91,7 +91,8 @@ class PolyCache:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
+                # dumps takes the C encoder; dump always iterates in Python
+                fh.write(json.dumps(entry))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

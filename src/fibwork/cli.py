@@ -248,14 +248,37 @@ def int_at_least(lo: int):
     return integer
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = (
+    "fibonomial", "verify-conjecture", "oracle-check", "render",
+    "fibocatalan-sweep", "lab-scan", "chains",
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The fibwork argument parser.
+
+    Given the name of a subcommand, only that subcommand's parser is built;
+    the usage line still names them all.  Given anything else, all of them
+    are.  main passes its first argument, so a call builds one sub-parser
+    of seven.
+    """
+    only = command if command in COMMANDS else None
     p = argparse.ArgumentParser(
         prog="fibwork",
         description="Exact q-Fibonomial workbench: polynomials, tilings, "
         "chain decompositions, unimodality sweeps.",
     )
     p.add_argument("--version", action="version", version=f"fibwork {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+    # a one-command parser spells out every choice in its usage line, as the
+    # full parser does; the full parser leaves metavar unset, so its errors
+    # still call the argument "command"
+    sub = p.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}",
+    )
+
+    def wanted(name):
+        return only is None or only == name
 
     def common(sp, budget=True, fmt=True, jobs=False, out=True):
         if budget:
@@ -272,68 +295,75 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--out", default=None,
                             help="output path ('-' or omitted: stdout)")
 
-    sp = sub.add_parser("fibonomial", help="compute one qfibonomial(m, n)")
-    sp.add_argument("m", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("--cache-dir", default=None,
-                    help=f"polynomial cache directory (env FIBWORK_CACHE wins)")
-    common(sp, budget=False)
-    sp.set_defaults(fn=cmd_fibonomial)
+    if wanted("fibonomial"):
+        sp = sub.add_parser("fibonomial", help="compute one qfibonomial(m, n)")
+        sp.add_argument("m", type=int)
+        sp.add_argument("n", type=int)
+        sp.add_argument("--cache-dir", default=None,
+                        help=f"polynomial cache directory (env FIBWORK_CACHE wins)")
+        common(sp, budget=False)
+        sp.set_defaults(fn=cmd_fibonomial)
 
-    sp = sub.add_parser(
-        "verify-conjecture",
-        help="symmetry+unimodality sweep over the (m, n) grid",
-    )
-    sp.add_argument("--max-sum", type=int_at_least(2), default=None)
-    sp.add_argument("--square-max", type=int_at_least(0), default=None)
-    common(sp, jobs=True)
-    sp.set_defaults(fn=cmd_verify_conjecture)
+    if wanted("verify-conjecture"):
+        sp = sub.add_parser(
+            "verify-conjecture",
+            help="symmetry+unimodality sweep over the (m, n) grid",
+        )
+        sp.add_argument("--max-sum", type=int_at_least(2), default=None)
+        sp.add_argument("--square-max", type=int_at_least(0), default=None)
+        common(sp, jobs=True)
+        sp.set_defaults(fn=cmd_verify_conjecture)
 
-    sp = sub.add_parser(
-        "oracle-check",
-        help="exhaustive tiling enumeration vs. algebraic construction",
-    )
-    sp.add_argument("--max-sum", type=int_at_least(0), default=None)
-    common(sp, fmt=False, out=False)
-    sp.set_defaults(fn=cmd_oracle_check)
+    if wanted("oracle-check"):
+        sp = sub.add_parser(
+            "oracle-check",
+            help="exhaustive tiling enumeration vs. algebraic construction",
+        )
+        sp.add_argument("--max-sum", type=int_at_least(0), default=None)
+        common(sp, fmt=False, out=False)
+        sp.set_defaults(fn=cmd_oracle_check)
 
-    sp = sub.add_parser("render", help="SVG of one tiling or a chain gallery")
-    sp.add_argument("m", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("--select", default="first",
-                    help="'first', a tiling index, or 'chains' (n=2 only)")
-    common(sp, budget=False, fmt=False)
-    sp.set_defaults(fn=cmd_render)
+    if wanted("render"):
+        sp = sub.add_parser("render", help="SVG of one tiling or a chain gallery")
+        sp.add_argument("m", type=int)
+        sp.add_argument("n", type=int)
+        sp.add_argument("--select", default="first",
+                        help="'first', a tiling index, or 'chains' (n=2 only)")
+        common(sp, budget=False, fmt=False)
+        sp.set_defaults(fn=cmd_render)
 
-    sp = sub.add_parser(
-        "fibocatalan-sweep",
-        help="divisibility/nonnegativity sweep for qfibonomial / [F_{m+n}]_q",
-    )
-    sp.add_argument("--max-sum", type=int_at_least(2), default=None)
-    common(sp)
-    sp.set_defaults(fn=cmd_fibocatalan_sweep)
+    if wanted("fibocatalan-sweep"):
+        sp = sub.add_parser(
+            "fibocatalan-sweep",
+            help="divisibility/nonnegativity sweep for qfibonomial / [F_{m+n}]_q",
+        )
+        sp.add_argument("--max-sum", type=int_at_least(2), default=None)
+        common(sp)
+        sp.set_defaults(fn=cmd_fibocatalan_sweep)
 
-    sp = sub.add_parser(
-        "lab-scan",
-        help="predicate-vs-actual unimodality scan over q-analog products",
-    )
-    sp.add_argument("--k-max", type=int_at_least(1), default=None)
-    sp.add_argument("--r-max", type=int_at_least(2), default=None)
-    sp.add_argument("--value-max", type=int_at_least(1), default=None)
-    common(sp, fmt=False, jobs=True)
-    sp.set_defaults(fn=cmd_lab_scan)
+    if wanted("lab-scan"):
+        sp = sub.add_parser(
+            "lab-scan",
+            help="predicate-vs-actual unimodality scan over q-analog products",
+        )
+        sp.add_argument("--k-max", type=int_at_least(1), default=None)
+        sp.add_argument("--r-max", type=int_at_least(2), default=None)
+        sp.add_argument("--value-max", type=int_at_least(1), default=None)
+        common(sp, fmt=False, jobs=True)
+        sp.set_defaults(fn=cmd_lab_scan)
 
-    sp = sub.add_parser("chains", help="chain decomposition of T(m, 2)")
-    sp.add_argument("m", type=int)
-    common(sp, budget=False, fmt=False)
-    sp.set_defaults(fn=cmd_chains)
+    if wanted("chains"):
+        sp = sub.add_parser("chains", help="chain decomposition of T(m, 2)")
+        sp.add_argument("m", type=int)
+        common(sp, budget=False, fmt=False)
+        sp.set_defaults(fn=cmd_chains)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     if hasattr(args, "budget"):
         for name, value in BUDGETS[args.budget][args.command].items():
             if getattr(args, name, None) is None:

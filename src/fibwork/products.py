@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -215,6 +214,9 @@ def scan_products(
         (k, r, value_max) for k in range(1, k_max + 1) for r in range(2, r_max + 1)
     ]
     if jobs > 1:
+        # the pool's modules take tens of ms to import: only --jobs > 1 pays
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_scan_block, blocks))
     else:

@@ -51,6 +51,11 @@ class Polynomial:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # pickle through the constructor: the default slot-state restore
+        # would go through the blocking __setattr__
+        return (Polynomial, (self.coeffs,))
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -297,8 +302,7 @@ def _require_nonzero(p: Polynomial, what: str) -> tuple:
 def is_symmetric(p: Polynomial) -> bool:
     """Palindromic coefficient sequence: c_i == c_{deg-i} for all i."""
     c = _require_nonzero(p, "symmetry")
-    n = len(c)
-    return all(c[i] == c[n - 1 - i] for i in range(n // 2 + 1))
+    return c == c[::-1]
 
 
 def is_unimodal(p: Polynomial) -> tuple[bool, Optional[int]]:
@@ -332,6 +336,15 @@ def is_unimodal(p: Polynomial) -> tuple[bool, Optional[int]]:
 
 
 def is_log_concave(p: Polynomial) -> bool:
-    """c_k^2 >= c_{k-1} c_{k+1} for all interior k (no positivity demanded)."""
+    """c_k^2 >= c_{k-1} c_{k+1} for all interior k (no positivity demanded).
+
+    On a palindrome the inequality at k mirrors the one at deg - k, so the
+    indices k <= len // 2 decide it.
+    """
     c = _require_nonzero(p, "log-concavity")
-    return all(c[k] * c[k] >= c[k - 1] * c[k + 1] for k in range(1, len(c) - 1))
+    if c == c[::-1]:
+        c = c[: len(c) // 2 + 2]
+    mid = c[1:-1]
+    return all(
+        map(operator.ge, map(operator.mul, mid, mid), map(operator.mul, c, c[2:]))
+    )

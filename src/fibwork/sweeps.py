@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field
 from typing import Optional
 
@@ -152,6 +151,9 @@ def verify_conjecture(
     if jobs <= 1:
         records = [analyze_pair(w) for w in work]
     else:
+        # the pool's modules take tens of ms to import: only --jobs > 1 pays
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(analyze_pair, work))
     failures = [r for r in records if not (r.symmetric and r.unimodal)]

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -380,6 +383,53 @@ def test_cli_range_bound_below_least_value_exits_2(
     assert exc.value.code == 2
     assert f"must be at least {least}" in capsys.readouterr().err
     assert run([command, flag, str(least)]) == 0
+
+
+def parser_outcome(parser, argv, capsys):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+ONE_COMMAND_ARGVS = {
+    "fibonomial": ["3", "4", "--format", "csv", "--out", "-"],
+    "verify-conjecture": ["--max-sum", "9", "--jobs", "2"],
+    "oracle-check": ["--budget", "extended"],
+    "render": ["2", "3", "--select", "chains"],
+    "fibocatalan-sweep": ["--max-sum", "5"],
+    "lab-scan": ["--k-max", "2", "--value-max", "4"],
+    "chains": ["5"],
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_cli_parser_for_one_command_reads_as_the_full_parser(command, capsys):
+    # main builds only the sub-parser its first argument names
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert one.format_usage() == full.format_usage()
+    assert "{" + ",".join(cli.COMMANDS) + "}" in full.format_usage()
+    for tail in (ONE_COMMAND_ARGVS[command], ["-h"], ["--no-such-flag"], []):
+        argv = [command, *tail]
+        assert parser_outcome(one, argv, capsys) == parser_outcome(full, argv, capsys)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --jobs > 1 needs concurrent.futures.process and multiprocessing;
+    # a one-shot request would otherwise spend tens of ms importing them
+    code = (
+        "import sys, fibwork.cli\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_version_flag(capsys):

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +235,76 @@ def test_is_unimodal_rejects_bad_input():
 def test_is_log_concave():
     assert is_log_concave(Polynomial([1, 2, 2, 1]))
     assert not is_log_concave(Polynomial([1, 1, 2, 1, 1]))
+
+
+def loop_is_log_concave(c):
+    """Every interior inequality, without the palindrome shortcut."""
+    return all(c[k] * c[k] >= c[k - 1] * c[k + 1] for k in range(1, len(c) - 1))
+
+
+signed_big_ints = st.integers(min_value=-(10**40), max_value=10**40)
+big_palindromes = st.tuples(
+    st.lists(signed_big_ints, min_size=1, max_size=20),
+    st.lists(signed_big_ints, max_size=1),
+).map(lambda t: t[0] + t[1] + t[0][::-1])
+# products of q-analogs: palindromes that rise to the middle
+analog_products = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 3)), max_size=4
+).map(lambda fs: list(_analog_product(fs).coeffs))
+
+
+def _analog_product(factors):
+    p = ONE
+    for n, r in factors:
+        p = mul_q_analog(p, n, r)
+    return p
+
+
+@given(
+    st.one_of(
+        palindromes,
+        big_palindromes,
+        analog_products,
+        small_coeffs,  # mostly not palindromes
+        st.lists(signed_big_ints, min_size=1, max_size=3),
+    )
+)
+@settings(max_examples=600)
+def test_is_log_concave_matches_full_scan(c):
+    if c[-1] == 0:
+        c = c + [1]
+    assert is_log_concave(Polynomial(c)) == loop_is_log_concave(c)
+
+
+@pytest.mark.parametrize(
+    "c,log_concave",
+    [
+        ([5], True),
+        ([1, 1], True),
+        ([2, 1, 2], False),
+        ([1, 2, 1], True),
+        ([1, 1, 2, 1, 1], False),  # fails at k = 1, mirrored at 3
+        # palindromes that fail only at the middle index (odd length) and
+        # only at the middle pair (even length)
+        ([1, 3, 1, 3, 1], False),
+        ([1, 3, 1, 1, 3, 1], False),
+        ([-1, 2, -1], True),
+        ([1, 2, 3, 3, 1, 1], False),  # not a palindrome; fails at k = 4 only
+    ],
+)
+def test_is_log_concave_cases(c, log_concave):
+    assert is_log_concave(Polynomial(c)) == log_concave == loop_is_log_concave(c)
+
+
+def test_pickle_round_trip():
+    big = Polynomial([10**40, 0, -(3**90), 7])
+    for p in (ZERO, ONE, big):
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and back.coeffs == p.coeffs
+    err = pickle.loads(pickle.dumps(NotDivisibleError(big)))
+    assert isinstance(err, NotDivisibleError)
+    assert err.remainder == big
+    assert str(err) == str(NotDivisibleError(big))
 
 
 def test_json_round_trip_with_big_coefficients():

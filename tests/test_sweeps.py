@@ -14,6 +14,7 @@ from fibwork.sweeps import (
     fibocatalan_sweep,
     oracle_check,
     poly_checksum,
+    shape_record,
     verify_conjecture,
 )
 from fibwork.tilings import EnumerationCapExceeded
@@ -35,6 +36,20 @@ def test_analyze_pair_record_for_3_3():
     assert rec.log_concave is False
     assert rec.timed_out is False
     assert rec.csv_row()[: len(CSV_COLUMNS) - 1] == [3, 3, 12, "8", True, True, False]
+
+
+def test_log_concavity_census_up_to_sum_20():
+    # recorded data, not a claim: on this range (3, n) with n >= 3 fails
+    # exactly when n is not 2 mod 3, and (4, 4) is the only other failure
+    not_log_concave = {
+        (3, 3), (3, 4), (4, 4), (3, 6), (3, 7), (3, 9), (3, 10), (3, 12),
+        (3, 13), (3, 15), (3, 16),
+    }
+    for m in range(1, 11):
+        for n in range(m, 21 - m):
+            rec = shape_record(m, n, qfibonomial(m, n), 0.0)
+            assert rec.symmetric and rec.unimodal, (m, n)
+            assert rec.log_concave == ((m, n) not in not_log_concave), (m, n)
 
 
 def test_poly_checksum_distinguishes():
