@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .cache import PolyCache, resolve_cache_dir
 from .chains import decompose
-from .fibonomial import qfibonomial
+from .fibonomial import qfibonomial, qfibonomial_degree
 from .products import scan_products
 from .svg import chain_gallery_svg, tiling_svg
 from .sweeps import (
@@ -85,6 +85,11 @@ def cmd_fibonomial(args) -> int:
     params = {"m": args.m, "n": args.n}
     t0 = time.perf_counter()
     poly = cache.get("qfibonomial", params)
+    # a well-formed entry can still hold the wrong polynomial; its length
+    # is known without building it (and a zero polynomial has no degree)
+    size = qfibonomial_degree(args.m, args.n) + 1
+    if poly is not None and len(poly.coeffs) != size:
+        poly = None
     cached = poly is not None
     if poly is None:
         poly = qfibonomial(args.m, args.n)
@@ -96,7 +101,8 @@ def cmd_fibonomial(args) -> int:
         payload = poly.to_json_dict()
         payload["record"] = record.to_dict()
         payload["cached"] = cached
-        text = json.dumps(payload, indent=1) + "\n"
+        # no indent: any indent sends json to its pure-Python encoder
+        text = json.dumps(payload) + "\n"
     _write_text(args.out, text)
     return EXIT_OK
 

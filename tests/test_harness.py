@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -81,6 +82,10 @@ def test_cli_fibonomial_uses_and_fills_cache(tmp_path, capsys):
     assert second["record"]["checksum"] == first["record"]["checksum"]
 
 
+def _digest(joined):
+    return hashlib.sha256(joined.encode()).hexdigest()
+
+
 def _edit_entry(text, **changes):
     entry = json.loads(text)
     entry.update(changes)
@@ -94,8 +99,13 @@ def _edit_entry(text, **changes):
         lambda text: '{"coeffs":["1","2"]}',  # tampered: no version/op/params
         lambda text: _edit_entry(text, coeffs=["1", "2"]),  # header intact
         lambda text: _edit_entry(text, checksum=None),  # checksum dropped
+        lambda text: _edit_entry(  # checksum matches, degree does not
+            text, coeffs=["1", "2", "0"], checksum=_digest("1,2,0")
+        ),
+        lambda text: _edit_entry(text, coeffs=[], checksum=_digest("")),  # zero
     ],
-    ids=["truncated", "tampered", "altered-coeffs", "no-checksum"],
+    ids=["truncated", "tampered", "altered-coeffs", "no-checksum",
+         "wrong-degree", "zero"],
 )
 def test_cli_bad_cache_entry_is_a_miss_and_rewritten(tmp_path, damage):
     out = tmp_path / "out.json"

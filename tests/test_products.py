@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -150,7 +151,9 @@ def reference_scan(k_max, r_max, value_max):
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-@pytest.mark.parametrize("box", [(4, 4, 4), (2, 5, 9), (5, 3, 3)])
+@pytest.mark.parametrize(
+    "box", [(4, 4, 4), (2, 5, 9), (5, 3, 3), (5, 5, 5), (4, 6, 7)]
+)
 def test_scan_matches_per_spec_reference(box, jobs):
     checked, expected = reference_scan(*box)
     report = scan_products(*box, jobs=jobs)
@@ -161,6 +164,19 @@ def test_scan_matches_per_spec_reference(box, jobs):
         for f in report.findings
     ]
     assert got == expected
+
+
+def test_extended_scan_is_pinned():
+    # the findings file of `lab-scan --budget extended`; the digest was
+    # taken from a scan that built every product and called is_unimodal
+    report = scan_products(5, 6, 15)
+    assert report.checked == 1_162_725
+    assert len(report.sufficiency_violations) == 0
+    assert len(report.necessity_violations) == 2_334
+    text = "".join(f.to_json_line() + "\n" for f in report.findings)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "eba85356817e0181a9a3968577f6711244eafc58e0fcf746b26803eb01c14622"
+    )
 
 
 def test_scan_parallel_matches_sequential():
