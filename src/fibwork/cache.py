@@ -3,11 +3,12 @@
 One JSON file per entry under the cache directory; the filename is the
 SHA-256 of the canonical (op, params) key, so identical queries land on
 identical paths and a re-read must be bit-identical to what was stored.
-Coefficients are stored in Polynomial's JSON form (decimal strings — they
-routinely exceed 2^53, so they never pass through floats or native JSON
-numbers), with the SHA-256 of those strings joined by commas, the same
-digest as sweeps.poly_checksum.  A damaged or mismatched entry reads as a
-miss.
+Coefficients are stored as decimal strings (they routinely exceed 2^53, so
+they never pass through floats or native JSON numbers), with the SHA-256 of
+those strings joined by commas, the same digest as sweeps.poly_checksum.
+put takes the strings and get hands back the stored ones once they match
+that digest, so a caller formats each coefficient at most once and a hit
+formats none.  A damaged or mismatched entry reads as a miss.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
-
-from .qpoly import Polynomial
 
 ENV_VAR = "FIBWORK_CACHE"
 DEFAULT_DIR = ".fibwork-cache"
@@ -37,7 +36,7 @@ def resolve_cache_dir(cli_value: Optional[str] = None) -> Path:
     return Path(DEFAULT_DIR)
 
 
-def _coeffs_digest(coeffs: list[str]) -> str:
+def coeffs_digest(coeffs: list[str]) -> str:
     """SHA-256 of decimal-string coefficients joined by commas."""
     return hashlib.sha256(",".join(coeffs).encode()).hexdigest()
 
@@ -55,12 +54,13 @@ class PolyCache:
     def path_for(self, op: str, params: dict) -> Path:
         return self.root / (cache_key(op, params) + ".json")
 
-    def get(self, op: str, params: dict) -> Optional[Polynomial]:
-        """The stored polynomial, or None on a miss.
+    def get(self, op: str, params: dict) -> Optional[list[str]]:
+        """The stored decimal-string coefficients, or None on a miss.
 
         An entry that is not valid JSON, lacks a field, names another
-        format version, op or params, or whose coefficients do not match
-        its checksum is a miss too; the caller's next put rewrites it.
+        format version, op or params, or whose coefficients are not a list
+        of strings matching its checksum is a miss too; the caller's next
+        put rewrites it.
         """
         path = self.path_for(op, params)
         if not path.exists():
@@ -68,23 +68,27 @@ class PolyCache:
         try:
             with open(path) as fh:
                 entry = json.load(fh)
-            if (entry["version"], entry["op"], entry["params"]) != (
-                FORMAT_VERSION, op, params
-            ) or entry["checksum"] != _coeffs_digest(entry["coeffs"]):
+            coeffs = entry["coeffs"]
+            if (
+                (entry["version"], entry["op"], entry["params"])
+                != (FORMAT_VERSION, op, params)
+                or type(coeffs) is not list
+                or entry["checksum"] != coeffs_digest(coeffs)
+            ):
                 return None
-            return Polynomial.from_json_dict(entry)
+            return coeffs
         except (ValueError, KeyError, TypeError):
             return None
 
-    def put(self, op: str, params: dict, poly: Polynomial) -> Path:
+    def put(self, op: str, params: dict, coeffs: list[str]) -> Path:
+        """Store decimal-string coefficients; returns the entry's path."""
         path = self.path_for(op, params)
-        coeffs = poly.to_json_dict()["coeffs"]
         entry = {
             "version": FORMAT_VERSION,
             "op": op,
             "params": params,
             "coeffs": coeffs,
-            "checksum": _coeffs_digest(coeffs),
+            "checksum": coeffs_digest(coeffs),
             "created": datetime.now(timezone.utc).isoformat(),
         }
         # atomic publish: never leave a half-written entry at the final path

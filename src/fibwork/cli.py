@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -25,10 +26,11 @@ from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import __version__
-from .cache import PolyCache, resolve_cache_dir
+from .cache import PolyCache, coeffs_digest, resolve_cache_dir
 from .chains import decompose
 from .fibonomial import qfibonomial, qfibonomial_degree
 from .products import scan_products
+from .qpoly import Polynomial
 from .svg import chain_gallery_svg, tiling_svg
 from .sweeps import (
     CSV_COLUMNS,
@@ -81,24 +83,33 @@ def _records_csv(columns, rows) -> str:
 
 
 def cmd_fibonomial(args) -> int:
+    # raises on a negative side, before the cache directory is made
+    size = qfibonomial_degree(args.m, args.n) + 1
     cache = PolyCache(resolve_cache_dir(args.cache_dir))
     params = {"m": args.m, "n": args.n}
     t0 = time.perf_counter()
-    poly = cache.get("qfibonomial", params)
+    stored = cache.get("qfibonomial", params)
+    poly = None
     # a well-formed entry can still hold the wrong polynomial; its length
     # is known without building it (and a zero polynomial has no degree)
-    size = qfibonomial_degree(args.m, args.n) + 1
-    if poly is not None and len(poly.coeffs) != size:
-        poly = None
+    if stored is not None and len(stored) == size:
+        payload = {"coeffs": stored}
+        try:
+            poly = Polynomial.from_json_dict(payload)
+        except ValueError:  # strings that match the checksum but are not integers
+            pass
     cached = poly is not None
-    if poly is None:
+    if not cached:
         poly = qfibonomial(args.m, args.n)
-        cache.put("qfibonomial", params, poly)
-    record = shape_record(args.m, args.n, poly, t0)
+        payload = poly.to_json_dict()
+        cache.put("qfibonomial", params, payload["coeffs"])
+    # the entry, the checksum and the report share one set of strings
+    record = shape_record(
+        args.m, args.n, poly, t0, checksum=coeffs_digest(payload["coeffs"])
+    )
     if args.format == "csv":
         text = _records_csv(CSV_COLUMNS, [record.csv_row()])
     else:
-        payload = poly.to_json_dict()
         payload["record"] = record.to_dict()
         payload["cached"] = cached
         # no indent: any indent sends json to its pure-Python encoder
@@ -261,14 +272,22 @@ COMMANDS = (
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The fibwork argument parser.
+    """The fibwork argument parser, built once per process and command.
 
     Given the name of a subcommand, only that subcommand's parser is built;
     the usage line still names them all.  Given anything else, all of them
-    are.  main passes its first argument, so a call builds one sub-parser
-    of seven.
+    are.  main passes its first argument, so a process builds one
+    sub-parser of seven per command it runs, on that command's first call,
+    and later calls reuse it.  Parsing leaves no state in a parser: each
+    call gets a fresh namespace, and main fills budget presets into that.
+    A subcommand's handler is looked up when its parser is built, so a
+    handler replaced after that is not called.
     """
-    only = command if command in COMMANDS else None
+    return _parser(command if command in COMMANDS else None)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(only: str | None) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fibwork",
         description="Exact q-Fibonomial workbench: polynomials, tilings, "

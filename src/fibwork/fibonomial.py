@@ -44,6 +44,8 @@ def fibonomial(m: int, n: int) -> int:
 
 def qfibonomial_degree(m: int, n: int) -> int:
     """Degree of qfibonomial(m, n): F_{m+n+2} - F_{m+2} - F_{n+2} + 1."""
+    if m < 0 or n < 0:
+        raise ValueError(f"qfibonomial needs m, n >= 0, got ({m}, {n})")
     return fib(m + n + 2) - fib(m + 2) - fib(n + 2) + 1
 
 
@@ -72,18 +74,17 @@ def qfibonomial(m: int, n: int) -> Polynomial:
     only inside the last step does the list briefly run F_n - 1 past it.
     Results are not memoised; a caller that reuses one keeps it.
     """
-    if m < 0 or n < 0:
-        raise ValueError(f"qfibonomial needs m, n >= 0, got ({m}, {n})")
+    degree = qfibonomial_degree(m, n)  # raises on a negative side
     if n > m:
         m, n = n, m
     c = [1]
     for k in range(1, n + 1):
         _cancel_step(c, fib(m + k), fib(k))
     quo = Polynomial(c)
-    if quo.is_zero() or quo.degree != qfibonomial_degree(m, n):
+    if quo.is_zero() or quo.degree != degree:
         raise ArithmeticError(
             f"qfibonomial({m}, {n}) has {len(c)} coefficients, "
-            f"expected degree {qfibonomial_degree(m, n)}"
+            f"expected degree {degree}"
         )
     return quo
 

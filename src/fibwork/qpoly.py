@@ -139,7 +139,7 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Polynomial":
-        return cls(int(s) for s in d["coeffs"])
+        return cls(map(int, d["coeffs"]))
 
 
 ZERO = Polynomial()

@@ -85,9 +85,14 @@ class SweepRecord:
 
 
 def shape_record(
-    m: int, n: int, p: Polynomial, t0: float, soft_ms: Optional[int] = None
+    m: int, n: int, p: Polynomial, t0: float, soft_ms: Optional[int] = None,
+    checksum: Optional[str] = None,
 ) -> SweepRecord:
-    """Shape report for p = qfibonomial(m, n); wall time counts from t0."""
+    """Shape report for p = qfibonomial(m, n); wall time counts from t0.
+
+    checksum, when given, is p's digest already made from its decimal
+    strings; otherwise poly_checksum makes it.
+    """
     symmetric = is_symmetric(p)
     unimodal, _ = is_unimodal(p)
     log_concave = is_log_concave(p)
@@ -101,7 +106,7 @@ def shape_record(
         unimodal=unimodal,
         log_concave=log_concave,
         wall_time_ms=ms,
-        checksum=poly_checksum(p),
+        checksum=poly_checksum(p) if checksum is None else checksum,
         timed_out=(soft_ms is not None and ms > soft_ms),
     )
 

@@ -207,6 +207,16 @@ def test_value_and_degree_up_to_sum_22():
             assert p.degree == qfibonomial_degree(m, total - m)
 
 
+@pytest.mark.parametrize("m,n", [(5, -1), (-1, 5), (2, -5), (-3, -3)])
+def test_negative_side_is_refused_by_degree_and_construction(m, n):
+    # the degree formula alone gives -5 for (5, -1)
+    message = rf"qfibonomial needs m, n >= 0, got \({m}, {n}\)"
+    with pytest.raises(ValueError, match=message):
+        qfibonomial_degree(m, n)
+    with pytest.raises(ValueError, match=message):
+        qfibonomial(m, n)
+
+
 def test_degree_check_survives_optimize():
     code = (
         "import importlib\n"

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +13,14 @@ import pytest
 
 import fibwork.cli as cli
 from fibwork.cache import ENV_VAR, PolyCache, cache_key, resolve_cache_dir
-from fibwork.qpoly import Polynomial
+from fibwork.fibonomial import qfibonomial
 from fibwork.sweeps import (
     CSV_COLUMNS,
     FIBOCAT_CSV_COLUMNS,
     SweepRecord,
     VerifyReport,
     analyze_pair,
+    poly_checksum,
 )
 from fibwork.tilings import enumerate_tilings, weight_degree
 
@@ -52,12 +54,12 @@ def test_cache_round_trip_is_bit_identical(tmp_path):
     cache = PolyCache(tmp_path / "c")
     rng = random.Random(99)
     for i in range(50):
-        coeffs = [rng.randrange(-(10**25), 10**25) for _ in range(rng.randrange(1, 30))]
-        poly = Polynomial(coeffs)
+        coeffs = [str(rng.randrange(-(10**25), 10**25))
+                  for _ in range(rng.randrange(1, 30))]
         params = {"i": i, "tag": "roundtrip"}
-        path = cache.put("test-op", params, poly)
+        path = cache.put("test-op", params, coeffs)
         stored = path.read_bytes()
-        assert cache.get("test-op", params) == poly
+        assert cache.get("test-op", params) == coeffs
         assert path.read_bytes() == stored  # reads never rewrite
         entry = json.loads(stored)
         assert all(isinstance(c, str) for c in entry["coeffs"])
@@ -103,9 +105,16 @@ def _edit_entry(text, **changes):
             text, coeffs=["1", "2", "0"], checksum=_digest("1,2,0")
         ),
         lambda text: _edit_entry(text, coeffs=[], checksum=_digest("")),  # zero
+        # checksum and length match (qfibonomial(3,3) has 13 coefficients)
+        lambda text: _edit_entry(
+            text, coeffs=["1"] * 12 + ["x"], checksum=_digest("1," * 12 + "x")
+        ),
+        lambda text: _edit_entry(
+            text, coeffs="1" * 13, checksum=_digest(",".join("1" * 13))
+        ),
     ],
     ids=["truncated", "tampered", "altered-coeffs", "no-checksum",
-         "wrong-degree", "zero"],
+         "wrong-degree", "zero", "not-integers", "not-a-list"],
 )
 def test_cli_bad_cache_entry_is_a_miss_and_rewritten(tmp_path, damage):
     out = tmp_path / "out.json"
@@ -174,6 +183,52 @@ def test_cli_fibonomial_record_matches_analyze_pair(tmp_path):
     expected = analyze_pair((5, 4, None)).to_dict()
     del record["wall_time_ms"], expected["wall_time_ms"]
     assert record == expected
+
+
+def _without_wall_time(text, fmt):
+    if fmt == "json":
+        return re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', text)
+    rows = list(csv.reader(io.StringIO(text)))
+    ms = list(CSV_COLUMNS).index("ms")
+    return [row[:ms] + row[ms + 1:] for row in rows]
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 3), (9, 7), (10, 10)])
+def test_cli_fibonomial_hit_reports_as_the_miss_did(m, n, tmp_path):
+    # the hit reports the entry's strings and checksum without reformatting;
+    # (10,10) peaks at 93,930,799,532,119,220, above 2^53
+    poly = qfibonomial(m, n)
+    out = tmp_path / "report"
+    for fmt in ("json", "csv"):
+        argv = ["fibonomial", str(m), str(n), "--format", fmt,
+                "--cache-dir", str(tmp_path / fmt), "--out", str(out)]
+        reports = []
+        for _ in range(2):
+            assert run(argv) == 0
+            reports.append(_without_wall_time(out.read_text(), fmt))
+        miss, hit = reports
+        if fmt == "csv":
+            assert hit == miss
+            continue
+        miss, hit = json.loads(miss), json.loads(hit)
+        assert (miss.pop("cached"), hit.pop("cached")) == (False, True)
+        assert hit == miss
+        assert hit["coeffs"] == [str(c) for c in poly.coeffs]
+        assert hit["record"]["checksum"] == poly_checksum(poly)
+        assert hit["record"]["peak_coeff"] == str(max(poly.coeffs))
+
+
+@pytest.mark.parametrize("m,n", [(-1, 2), (2, -1), (2, -5)])
+def test_cli_fibonomial_negative_side_is_refused_before_the_cache(
+    m, n, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)  # the default cache directory would land here
+    argv = ["fibonomial", str(m), str(n)]
+    for tail in ([], ["--cache-dir", str(tmp_path / "c")]):
+        assert run(argv + tail) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: qfibonomial needs m, n >= 0, got ({m}, {n})\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- sweeps through the CLI --------------------------------------------------
@@ -423,6 +478,65 @@ def test_cli_parser_for_one_command_reads_as_the_full_parser(command, capsys):
     for tail in (ONE_COMMAND_ARGVS[command], ["-h"], ["--no-such-flag"], []):
         argv = [command, *tail]
         assert parser_outcome(one, argv, capsys) == parser_outcome(full, argv, capsys)
+
+
+def _run_alone(argv, cwd):
+    """Exit code, stdout and stderr of one CLI call in a process of its own."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "fibwork.cli", *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    return out.returncode, out.stdout, out.stderr
+
+
+def _run_here(argv, capsys):
+    try:
+        rc = run(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_cli_reused_parser_carries_no_state_between_calls(
+    tmp_path, monkeypatch, capsys
+):
+    for command in (*cli.COMMANDS, None, "no-such-command"):
+        assert cli.build_parser(command) is cli.build_parser(command)
+    assert cli.build_parser("no-such-command") is cli.build_parser()
+    sequences = [
+        # a flag set by one call must not stay set for the next
+        (["fibonomial", "3", "3", "--format", "csv", "--out", "-"],
+         ["fibonomial", "3", "3", "--out", "-"]),
+        # each call fills its unset flags from its own preset
+        (["oracle-check", "--budget", "extended"], ["oracle-check"]),
+        (["fibonomial", "3", "3", "--no-such-flag"],
+         ["fibonomial", "3", "3", "--no-such-flag"]),
+    ]
+    outcomes = []
+    for i, sequence in enumerate(sequences):
+        for j, argv in enumerate(sequence):
+            # each call gets its own default cache directory, so each misses
+            here, alone = tmp_path / f"here-{i}-{j}", tmp_path / f"alone-{i}-{j}"
+            here.mkdir(), alone.mkdir()
+            monkeypatch.chdir(here)
+            got = _run_here(argv, capsys)
+            want = _run_alone(argv, alone)
+            fmt = "csv" if "csv" in argv else "json"
+            assert (got[0], _without_wall_time(got[1], fmt), got[2]) == (
+                want[0], _without_wall_time(want[1], fmt), want[2]
+            ), argv
+            outcomes.append(got)
+    (csv_rc, csv_out, _), (json_rc, json_out, _) = outcomes[0:2]
+    assert csv_rc == json_rc == 0
+    assert csv_out.startswith("m,n,")
+    assert json.loads(json_out)["record"]["degree"] == 12
+    assert "oracle-check: 66 pairs" in outcomes[2][2]
+    assert "oracle-check: 45 pairs" in outcomes[3][2]
+    (rc1, _, err1), (rc2, _, err2) = outcomes[4:6]
+    assert rc1 == rc2 == 2
+    assert err1 == err2 and "unrecognized arguments: --no-such-flag" in err1
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
