@@ -7,8 +7,9 @@ Coefficients are stored as decimal strings (they routinely exceed 2^53, so
 they never pass through floats or native JSON numbers), with the SHA-256 of
 those strings joined by commas, the same digest as sweeps.poly_checksum.
 put takes the strings and get hands back the stored ones once they match
-that digest, so a caller formats each coefficient at most once and a hit
-formats none.  A damaged or mismatched entry reads as a miss.
+that digest and are spelled as str() spells an int, so a caller formats
+each coefficient at most once and a hit formats none.  Both leave that
+digest in last_checksum.  A damaged or mismatched entry reads as a miss.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,9 +38,10 @@ def resolve_cache_dir(cli_value: Optional[str] = None) -> Path:
     return Path(DEFAULT_DIR)
 
 
-def coeffs_digest(coeffs: list[str]) -> str:
-    """SHA-256 of decimal-string coefficients joined by commas."""
-    return hashlib.sha256(",".join(coeffs).encode()).hexdigest()
+# comma-joined integers as str() spells them: ASCII digits, no sign on 0,
+# no "+", no leading zero, padding or "_"; possessive, so a long entry
+# matches without backtracking
+_DECIMALS = re.compile(rb"(?:0|-?[1-9][0-9]*+)(?:,(?:0|-?[1-9][0-9]*+))*+")
 
 
 def cache_key(op: str, params: dict) -> str:
@@ -50,6 +53,8 @@ class PolyCache:
     def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # checksum of the coefficients the last hit returned or put stored
+        self.last_checksum: Optional[str] = None
 
     def path_for(self, op: str, params: dict) -> Path:
         return self.root / (cache_key(op, params) + ".json")
@@ -58,9 +63,10 @@ class PolyCache:
         """The stored decimal-string coefficients, or None on a miss.
 
         An entry that is not valid JSON, lacks a field, names another
-        format version, op or params, or whose coefficients are not a list
-        of strings matching its checksum is a miss too; the caller's next
-        put rewrites it.
+        format version, op or params, or whose coefficients are not a
+        non-empty list of strings spelled as str() spells an int and
+        matching its checksum is a miss too; the caller's next put
+        rewrites it.  On a hit, last_checksum is the verified checksum.
         """
         path = self.path_for(op, params)
         if not path.exists():
@@ -73,22 +79,30 @@ class PolyCache:
                 (entry["version"], entry["op"], entry["params"])
                 != (FORMAT_VERSION, op, params)
                 or type(coeffs) is not list
-                or entry["checksum"] != coeffs_digest(coeffs)
             ):
                 return None
-            return coeffs
+            data = ",".join(coeffs).encode()
+            # a string holding a comma would join into the same bytes
+            if not _DECIMALS.fullmatch(data) or data.count(b",") != len(coeffs) - 1:
+                return None
+            checksum = hashlib.sha256(data).hexdigest()
+            if entry["checksum"] != checksum:
+                return None
         except (ValueError, KeyError, TypeError):
             return None
+        self.last_checksum = checksum
+        return coeffs
 
     def put(self, op: str, params: dict, coeffs: list[str]) -> Path:
         """Store decimal-string coefficients; returns the entry's path."""
         path = self.path_for(op, params)
+        checksum = hashlib.sha256(",".join(coeffs).encode()).hexdigest()
         entry = {
             "version": FORMAT_VERSION,
             "op": op,
             "params": params,
             "coeffs": coeffs,
-            "checksum": coeffs_digest(coeffs),
+            "checksum": checksum,
             "created": datetime.now(timezone.utc).isoformat(),
         }
         # atomic publish: never leave a half-written entry at the final path
@@ -102,4 +116,5 @@ class PolyCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        self.last_checksum = checksum
         return path

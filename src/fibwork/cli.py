@@ -26,7 +26,7 @@ from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import __version__
-from .cache import PolyCache, coeffs_digest, resolve_cache_dir
+from .cache import PolyCache, resolve_cache_dir
 from .chains import decompose
 from .fibonomial import qfibonomial, qfibonomial_degree
 from .products import scan_products
@@ -89,24 +89,21 @@ def cmd_fibonomial(args) -> int:
     params = {"m": args.m, "n": args.n}
     t0 = time.perf_counter()
     stored = cache.get("qfibonomial", params)
-    poly = None
-    # a well-formed entry can still hold the wrong polynomial; its length
-    # is known without building it (and a zero polynomial has no degree)
+    cached = False
+    # a well-formed entry can still hold the wrong polynomial: keep it only
+    # if it has qfibonomial's length once trailing zeros are stripped (the
+    # zero polynomial has no coefficients)
     if stored is not None and len(stored) == size:
         payload = {"coeffs": stored}
-        try:
-            poly = Polynomial.from_json_dict(payload)
-        except ValueError:  # strings that match the checksum but are not integers
-            pass
-    cached = poly is not None
+        poly = Polynomial.from_json_dict(payload)
+        cached = len(poly.coeffs) == size
     if not cached:
         poly = qfibonomial(args.m, args.n)
         payload = poly.to_json_dict()
         cache.put("qfibonomial", params, payload["coeffs"])
-    # the entry, the checksum and the report share one set of strings
-    record = shape_record(
-        args.m, args.n, poly, t0, checksum=coeffs_digest(payload["coeffs"])
-    )
+    # the entry, its checksum (verified by get or made by put) and the
+    # report share one set of strings
+    record = shape_record(args.m, args.n, poly, t0, checksum=cache.last_checksum)
     if args.format == "csv":
         text = _records_csv(CSV_COLUMNS, [record.csv_row()])
     else:
@@ -278,10 +275,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     the usage line still names them all.  Given anything else, all of them
     are.  main passes its first argument, so a process builds one
     sub-parser of seven per command it runs, on that command's first call,
-    and later calls reuse it.  Parsing leaves no state in a parser: each
-    call gets a fresh namespace, and main fills budget presets into that.
-    A subcommand's handler is looked up when its parser is built, so a
-    handler replaced after that is not called.
+    and later calls reuse it.  That pays only when one process calls main
+    many times; the console script calls it once.  Parsing leaves no state
+    in a parser: each call gets a fresh namespace, and main fills budget
+    presets into that.  A subcommand's handler is looked up when its
+    parser is built, so a handler replaced after that is not called.
     """
     return _parser(command if command in COMMANDS else None)
 

@@ -66,6 +66,26 @@ def test_cache_round_trip_is_bit_identical(tmp_path):
     assert cache.get("test-op", {"i": -1, "tag": "roundtrip"}) is None
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [["01", "2"], ["+1", "2"], [" 1", "2"], ["1 ", "2"], ["1_0", "2"],
+     ["\uff11", "2"], ["-0", "2"], ["", "2"], ["1,2"], ["1,", "2"], []],
+    ids=["leading-zero", "plus", "space", "trailing-space", "underscore",
+         "non-ascii-digit", "minus-zero", "empty-string", "comma-inside",
+         "trailing-comma", "empty-list"],
+)
+def test_cache_get_refuses_strings_str_would_not_write(tmp_path, coeffs):
+    cache = PolyCache(tmp_path / "c")
+    params = {"tag": "respelled"}
+    path = cache.put("test-op", params, ["1", "2"])
+    assert cache.get("test-op", params) == ["1", "2"]
+    assert cache.last_checksum == _digest("1,2")
+    path.write_text(_edit_entry(
+        path.read_text(), coeffs=coeffs, checksum=_digest(",".join(coeffs))
+    ))
+    assert cache.get("test-op", params) is None
+
+
 def test_cli_fibonomial_uses_and_fills_cache(tmp_path, capsys):
     out = tmp_path / "out.json"
     cdir = tmp_path / "cache"
@@ -94,6 +114,12 @@ def _edit_entry(text, **changes):
     return json.dumps({k: v for k, v in entry.items() if v is not None})
 
 
+def _respell(text, constant_term):
+    coeffs = json.loads(text)["coeffs"]
+    coeffs[0] = constant_term
+    return _edit_entry(text, coeffs=coeffs, checksum=_digest(",".join(coeffs)))
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -112,9 +138,20 @@ def _edit_entry(text, **changes):
         lambda text: _edit_entry(
             text, coeffs="1" * 13, checksum=_digest(",".join("1" * 13))
         ),
+        # 13 strings that decode to the zero polynomial
+        lambda text: _edit_entry(
+            text, coeffs=["0"] * 13, checksum=_digest(",".join(["0"] * 13))
+        ),
+        # 13 strings, but the trailing zero leaves degree 11
+        lambda text: _edit_entry(
+            text, coeffs=["1"] * 12 + ["0"], checksum=_digest("1," * 12 + "0")
+        ),
+        # the right polynomial, its constant term spelled "01"
+        lambda text: _respell(text, "01"),
     ],
     ids=["truncated", "tampered", "altered-coeffs", "no-checksum",
-         "wrong-degree", "zero", "not-integers", "not-a-list"],
+         "wrong-degree", "zero", "not-integers", "not-a-list",
+         "zero-padded", "trailing-zero", "respelled"],
 )
 def test_cli_bad_cache_entry_is_a_miss_and_rewritten(tmp_path, damage):
     out = tmp_path / "out.json"
