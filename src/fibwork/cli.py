@@ -6,7 +6,7 @@ Exit codes are part of the contract:
   0  success (including expected findings, e.g. log-concavity failures);
   1  a finding that contradicts a proven statement (oracle mismatch,
      symmetry/unimodality failure in range, sufficiency violation, ...);
-  2  resource refusal (enumeration above the cap) or bad usage;
+  2  refusal (enumeration or a qfibonomial above its cap) or bad usage;
   3  I/O failure while reading or writing files.
 
 FIBWORK_CACHE in the environment overrides --cache-dir for the polynomial
@@ -22,13 +22,12 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import __version__
 from .cache import PolyCache, resolve_cache_dir
 from .chains import decompose
-from .fibonomial import qfibonomial, qfibonomial_degree
+from .fibonomial import CoefficientCapExceeded, capped_size, qfibonomial
 from .products import scan_products
 from .qpoly import Polynomial
 from .svg import chain_gallery_svg, tiling_svg
@@ -83,8 +82,8 @@ def _records_csv(columns, rows) -> str:
 
 
 def cmd_fibonomial(args) -> int:
-    # raises on a negative side, before the cache directory is made
-    size = qfibonomial_degree(args.m, args.n) + 1
+    # raises on a negative side or over the cap, before the cache dir is made
+    size = capped_size(args.m, args.n)
     cache = PolyCache(resolve_cache_dir(args.cache_dir))
     params = {"m": args.m, "n": args.n}
     t0 = time.perf_counter()
@@ -202,11 +201,11 @@ def cmd_fibocatalan_sweep(args) -> int:
     if args.format == "csv":
         text = _records_csv(
             FIBOCAT_CSV_COLUMNS,
-            [astuple(r) for r in report.rows],
+            [list(vars(r).values()) for r in report.rows],
         )
     else:
         text = json.dumps(
-            {"rows": [asdict(r) for r in report.rows],
+            {"rows": [vars(r) for r in report.rows],
              "violations": len(report.violations)},
             indent=1,
         ) + "\n"
@@ -393,7 +392,7 @@ def main(argv=None) -> int:
                 setattr(args, name, value)
     try:
         return args.fn(args)
-    except EnumerationCapExceeded as e:
+    except (EnumerationCapExceeded, CoefficientCapExceeded) as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED
     except ValueError as e:

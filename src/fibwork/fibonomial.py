@@ -14,10 +14,10 @@ q-analogs cancel, leaving the binomial product
 
     qfibonomial(m, n) = prod_{k=1..n} (1 - q^{F_{m+k}}) / (1 - q^{F_k}),
 
-which costs one shifted subtract and one prefix-sum division per k.  The
-q-FiboCatalan quotient qfibonomial(m, n) / [F_{m+n}]_q is one more step of
-the same kind, since [F]_q = (1 - q^F) / (1 - q): multiply by 1 - q, then
-divide by 1 - q^{F_{m+n}}.  Every division here is div_one_minus_q_power.
+which costs one qpoly.cancel_step per k: a shifted subtract and one
+prefix-sum division.  The q-FiboCatalan quotient qfibonomial(m, n) /
+[F_{m+n}]_q is one more step of the same kind, since [F]_q = (1 - q^F) /
+(1 - q): multiply by 1 - q, then divide by 1 - q^{F_{m+n}}.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .fib import fib
-from .qpoly import NotDivisibleError, Polynomial, div_one_minus_q_power
+from .qpoly import NotDivisibleError, Polynomial, cancel_step, div_one_minus_q_power
 
 
 def fibonomial(m: int, n: int) -> int:
@@ -49,16 +49,24 @@ def qfibonomial_degree(m: int, n: int) -> int:
     return fib(m + n + 2) - fib(m + 2) - fib(n + 2) + 1
 
 
-def _cancel_step(c: list, up: int, down: int) -> list:
-    """c * (1 - q^up) / (1 - q^down), in place on the coefficient list c.
+# ~4 GB at 80 B a coefficient: admits (18,18) at 39.1 M, refuses (19,19) at 102.3 M
+COEFFICIENT_CAP = 50_000_000
 
-    A shifted subtract (high end down), then div_one_minus_q_power, which
-    raises NotDivisibleError on a nonzero tail.
-    """
-    c.extend([0] * up)
-    for i in range(len(c) - 1, up - 1, -1):
-        c[i] -= c[i - up]
-    return div_one_minus_q_power(c, down)
+
+class CoefficientCapExceeded(Exception):
+    """Refusal to build a qfibonomial with more coefficients than the cap."""
+
+
+def capped_size(m: int, n: int) -> int:
+    """Coefficients of qfibonomial(m, n), refused above COEFFICIENT_CAP by
+    the CLI and the sweeps before any work; qfibonomial has no limit."""
+    size = qfibonomial_degree(m, n) + 1  # raises on a negative side
+    if size > COEFFICIENT_CAP:
+        # no count in the message: str() refuses an int of over 4300 digits
+        raise CoefficientCapExceeded(
+            f"qfibonomial({m}, {n}) has more than {COEFFICIENT_CAP} coefficients"
+        )
+    return size
 
 
 def qfibonomial(m: int, n: int) -> Polynomial:
@@ -66,20 +74,19 @@ def qfibonomial(m: int, n: int) -> Polynomial:
 
     Built on one coefficient list as the cancelled binomial product
     prod_{k=1..n} (1 - q^{F_{m+k}}) / (1 - q^{F_k}), with n = min(m, n).
-    Step k multiplies by 1 - q^{F_{m+k}} (a shifted subtract, high end
-    down) and then divides by 1 - q^{F_k} (div_one_minus_q_power, which
-    raises NotDivisibleError on a nonzero tail).  After step k the list is
-    exactly qfibonomial(m, k), so every division is exact, the state
-    between steps is nonnegative, and it is never longer than the result;
-    only inside the last step does the list briefly run F_n - 1 past it.
-    Results are not memoised; a caller that reuses one keeps it.
+    Step k is one cancel_step: times 1 - q^{F_{m+k}}, then divided by
+    1 - q^{F_k}.  After step k the list is exactly qfibonomial(m, k), so
+    every division is exact, the state between steps is nonnegative, and
+    it is never longer than the result; only inside the last step does the
+    list briefly run F_n - 1 past it.  Results are not memoised; a caller
+    that reuses one keeps it.
     """
     degree = qfibonomial_degree(m, n)  # raises on a negative side
     if n > m:
         m, n = n, m
     c = [1]
     for k in range(1, n + 1):
-        _cancel_step(c, fib(m + k), fib(k))
+        cancel_step(c, fib(m + k), fib(k))
     quo = Polynomial(c)
     if quo.is_zero() or quo.degree != degree:
         raise ArithmeticError(
@@ -149,7 +156,7 @@ def _fibocatalan_quotient(a: tuple, F: int) -> Polynomial:
     reports it.
     """
     try:
-        return Polynomial(_cancel_step(list(a), 1, F))
+        return Polynomial(cancel_step(list(a), 1, F))
     except NotDivisibleError as e:
         rem = div_one_minus_q_power(list(e.remainder.coeffs), 1)
         raise NotDivisibleError(Polynomial(rem)) from None

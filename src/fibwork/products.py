@@ -30,8 +30,8 @@ first negative index of F.  G is kept only up to the middle of the
 longest product, b = value_max.  No product P [b]_{q^r} is ever built.
 
 The box splits into one block per (k, least factor) that covers every r,
-so each k-combination's product is built once per scan, from the product
-of its prefix.  The predicate is evaluated once per (combination, r) as
+so each k-combination's product is built once per scan, by one cancel_step
+on its prefix's.  The predicate is evaluated once per (combination, r) as
 the largest b it accepts, and a ProductSpec is built only for a finding.
 The extended box (k <= 5, r <= 6, values <= 15: 1,162,725 specs) takes
 2.1-2.5 s on one core of a 2-CPU VM with a 22 MB peak, and 1.3-1.6 s at
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
 from typing import Iterator
 
-from .qpoly import ONE, Polynomial, mul_q_analog
+from .qpoly import ONE, Polynomial, cancel_step, mul_q_analog
 
 SUFFICIENCY_VIOLATION = "SUFFICIENCY_VIOLATION"
 NECESSITY_VIOLATION = "NECESSITY_VIOLATION"
@@ -174,20 +174,20 @@ class ScanReport:
 
 def _combination_products(
     k: int, least: int, value_max: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(combo, coefficients of [a_1]_q ... [a_k]_q) for every ascending
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(combo, coefficient list of [a_1]_q ... [a_k]_q) for every ascending
     k-combination of 1..value_max whose least factor is `least`, in
-    itertools.combinations_with_replacement order; each product is one
-    mul_q_analog on the product of its prefix."""
+    itertools.combinations_with_replacement order; each is one cancel_step,
+    times [a]_q = (1 - q^a) / (1 - q), on a copy of its prefix's."""
 
     def walk(prefix, p, low):
         if len(prefix) == k:
-            yield prefix, p.coeffs
+            yield prefix, p
             return
         for a in range(low, value_max + 1):
-            yield from walk(prefix + (a,), mul_q_analog(p, a), a)
+            yield from walk(prefix + (a,), cancel_step(p[:], a, 1), a)
 
-    return walk((least,), mul_q_analog(ONE, least), least)
+    return walk((least,), [1] * least, least)
 
 
 def _first_negative(f: list[int]) -> int:

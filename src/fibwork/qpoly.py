@@ -5,6 +5,11 @@ index i holds the coefficient of q^i.  The zero polynomial is the empty
 coefficient sequence, and no polynomial ever carries trailing zeros, so
 structural equality is semantic equality.
 
+One list-level pass, cancel_step (c * (1 - q^up) / (1 - q^down)), is behind
+every product by a q-analog and every quotient the package builds, since
+[n]_{q^r} = (1 - q^{nr}) / (1 - q^r).  mul and exact_div are the general
+product and division: public API and the tests' references.
+
 Peak coefficients of the polynomials handled here exceed 2^53 well inside
 the working range, which is why nothing in this module (or in the JSON
 serialization) ever round-trips a coefficient through a float.
@@ -109,15 +114,6 @@ class Polynomial:
             out[i] += v
         return Polynomial(out)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, v in enumerate(other.coeffs):
-            out[i] -= v
-        return Polynomial(out)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return mul(self, other)
-
     def shifted(self, k: int) -> "Polynomial":
         """self * q^k."""
         if not self.coeffs:
@@ -160,29 +156,11 @@ def q_analog(n: int, r: int = 1) -> Polynomial:
 
 
 def mul_q_analog(p: Polynomial, n: int, r: int = 1) -> Polynomial:
-    """p * [n]_{q^r} in O(len(p) + n*r) via the sliding-window recurrence
-
-        out[i] = out[i-r] + p[i] - p[i-n*r],
-
-    which is the geometric-series identity [n]_{q^r} = (1-q^{nr})/(1-q^r)
-    applied coefficientwise.  Exactly equal to mul(p, q_analog(n, r)).
-    """
+    """p * [n]_{q^r} = p (1 - q^{nr}) / (1 - q^r): one cancel_step, exactly
+    equal to mul(p, q_analog(n, r))."""
     if n < 1 or r < 1:
         raise ValueError(f"mul_q_analog needs n >= 1 and r >= 1, got n={n} r={r}")
-    pc = p.coeffs
-    if not pc:
-        return ZERO
-    width = n * r
-    m = len(pc) + (n - 1) * r
-    out = [0] * m
-    for i in range(m):
-        acc = out[i - r] if i >= r else 0
-        if i < len(pc):
-            acc += pc[i]
-        if i >= width and i - width < len(pc):
-            acc -= pc[i - width]
-        out[i] = acc
-    return Polynomial(out)
+    return Polynomial(cancel_step(list(p.coeffs), n * r, r))
 
 
 def fib_q_factorial(n: int) -> Polynomial:
@@ -273,10 +251,8 @@ def div_one_minus_q_power(coeffs: list, k: int) -> list:
 
     Prefix-sum recurrence out[i] = c[i] + out[i-k].  Exactness requires the
     last k running sums to vanish; raises NotDivisibleError otherwise.
-    This is the division used on every production path: once per factor
-    of qfibonomial's cancelled binomial product, once more for the
-    q-FiboCatalan quotient; exact_div is the general division by an
-    arbitrary polynomial.
+    Every production path divides here, through cancel_step; exact_div is
+    the general division by an arbitrary polynomial.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
@@ -288,6 +264,16 @@ def div_one_minus_q_power(coeffs: list, k: int) -> list:
         raise NotDivisibleError(Polynomial([0] * max(0, n - k) + tail))
     del coeffs[max(0, n - k):]
     return coeffs
+
+
+def cancel_step(c: list, up: int, down: int) -> list:
+    """c * (1 - q^up) / (1 - q^down), in place on the coefficient list c: a
+    shifted subtract (high end down), then div_one_minus_q_power, which
+    raises NotDivisibleError on a nonzero tail."""
+    c.extend([0] * up)
+    for i in range(len(c) - 1, up - 1, -1):
+        c[i] -= c[i - up]
+    return div_one_minus_q_power(c, down)
 
 
 # -- shape predicates ------------------------------------------------------

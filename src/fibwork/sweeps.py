@@ -12,14 +12,15 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 from .chains import decompose
 from .fib import fib
 from .fibonomial import (
     _fibocatalan_quotient,
     _telescoped_quotient,
+    capped_size,
     closed_form_n2,
     qfibonomial,
 )
@@ -77,11 +78,12 @@ class SweepRecord:
     checksum: str
     timed_out: bool = False
 
+    # vars, not dataclasses.astuple/asdict: those deep-copy every field
     def csv_row(self) -> list:
-        return list(astuple(self))[: len(CSV_COLUMNS)]
+        return list(vars(self).values())[: len(CSV_COLUMNS)]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def shape_record(
@@ -118,16 +120,18 @@ def analyze_pair(args: tuple) -> SweepRecord:
     return shape_record(m, n, qfibonomial(m, n), t0, soft_ms)
 
 
+def _grid(max_sum: int, square_max: int = 0) -> Iterator[tuple[int, int]]:
+    """All m, n >= 1 with m+n <= max_sum by increasing sum, then the squares
+    up to square_max beyond them ((s, s) is among them when 2s <= max_sum)."""
+    for s in range(2, max_sum + 1):
+        yield from ((m, s - m) for m in range(1, s))
+    for s in range(max_sum // 2 + 1, square_max + 1):
+        yield s, s
+
+
 def conjecture_pairs(max_sum: int, square_max: int) -> list[tuple[int, int]]:
     """Grid: all m, n >= 1 with m+n <= max_sum, plus squares up to square_max."""
-    pairs = [
-        (m, s - m) for s in range(2, max_sum + 1) for m in range(1, s)
-    ]
-    seen = set(pairs)
-    for s in range(1, square_max + 1):
-        if (s, s) not in seen:
-            pairs.append((s, s))
-    return pairs
+    return list(_grid(max_sum, square_max))
 
 
 @dataclass
@@ -151,6 +155,9 @@ def verify_conjecture(
     Log-concavity is recorded as data, never asserted — it genuinely fails
     (first at (3, 3)).
     """
+    # sizes grow with each side: an over-cap range stops this early, however large
+    for m, n in _grid(max_sum, square_max):
+        capped_size(m, n)
     pairs = conjecture_pairs(max_sum, square_max)
     work = [(m, n, soft_ms) for m, n in pairs]
     if jobs <= 1:
@@ -280,40 +287,40 @@ def fibocatalan_sweep(max_sum: int = 12) -> FibocatReport:
     quotient coefficients and agreement with the telescoping form.  Outside
     gcd in {1, 2}, non-divisibility is recorded as a legitimate outcome.
     """
+    for m, n in _grid(max_sum):
+        capped_size(m, n)  # the whole range, before the first pair
     rows = []
     violations = []
-    for s in range(2, max_sum + 1):
-        for m in range(1, s):
-            n = s - m
-            t0 = time.perf_counter()
-            g = math.gcd(m, n)
-            parent = qfibonomial(m, n)
-            F = fib(m + n)
-            parent_unimodal, _ = is_unimodal(parent)
-            try:
-                quo = _fibocatalan_quotient(parent.coeffs, F)
-                divisible = True
-                nonneg = all(c >= 0 for c in quo.coeffs)
-                if g in (1, 2):
-                    tele = _telescoped_quotient(parent.coeffs, F)
-                    telescoping_match = tele == quo
-                else:
-                    telescoping_match = None
-            except NotDivisibleError:
-                divisible = False
-                nonneg = None
-                telescoping_match = None
-            ms = int((time.perf_counter() - t0) * 1000)
-            row = FibocatRow(
-                m, n, g, divisible, parent_unimodal, nonneg, telescoping_match, ms
-            )
-            rows.append(row)
+    for m, n in _grid(max_sum):
+        t0 = time.perf_counter()
+        g = math.gcd(m, n)
+        parent = qfibonomial(m, n)
+        F = fib(m + n)
+        parent_unimodal, _ = is_unimodal(parent)
+        try:
+            quo = _fibocatalan_quotient(parent.coeffs, F)
+            divisible = True
+            nonneg = all(c >= 0 for c in quo.coeffs)
             if g in (1, 2):
-                bad = (
-                    not divisible
-                    or telescoping_match is False
-                    or (parent_unimodal and nonneg is False)
-                )
-                if bad:
-                    violations.append(row)
+                tele = _telescoped_quotient(parent.coeffs, F)
+                telescoping_match = tele == quo
+            else:
+                telescoping_match = None
+        except NotDivisibleError:
+            divisible = False
+            nonneg = None
+            telescoping_match = None
+        ms = int((time.perf_counter() - t0) * 1000)
+        row = FibocatRow(
+            m, n, g, divisible, parent_unimodal, nonneg, telescoping_match, ms
+        )
+        rows.append(row)
+        if g in (1, 2):
+            bad = (
+                not divisible
+                or telescoping_match is False
+                or (parent_unimodal and nonneg is False)
+            )
+            if bad:
+                violations.append(row)
     return FibocatReport(rows=rows, violations=violations)

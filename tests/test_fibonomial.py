@@ -9,6 +9,8 @@ import pytest
 import fibwork
 from fibwork.fib import fib
 from fibwork.fibonomial import (
+    CoefficientCapExceeded,
+    capped_size,
     closed_form_n2,
     fibonomial,
     n3_factorization,
@@ -215,6 +217,15 @@ def test_negative_side_is_refused_by_degree_and_construction(m, n):
         qfibonomial_degree(m, n)
     with pytest.raises(ValueError, match=message):
         qfibonomial(m, n)
+
+
+def test_coefficient_cap_admits_18_18_and_refuses_19_19():
+    assert capped_size(18, 18) == qfibonomial_degree(18, 18) + 1 == 39_074_641
+    with pytest.raises(CoefficientCapExceeded) as exc:
+        capped_size(19, 19)
+    assert str(exc.value) == "qfibonomial(19, 19) has more than 50000000 coefficients"
+    with pytest.raises(ValueError, match="qfibonomial needs m, n >= 0"):
+        capped_size(-1, 40)
 
 
 def test_degree_check_survives_optimize():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import fibwork.cli as cli
+import fibwork.sweeps as sweeps
 from fibwork.cache import ENV_VAR, PolyCache, cache_key, resolve_cache_dir
 from fibwork.fibonomial import qfibonomial
 from fibwork.sweeps import (
@@ -266,6 +267,40 @@ def test_cli_fibonomial_negative_side_is_refused_before_the_cache(
         err = capsys.readouterr().err
         assert err == f"usage error: qfibonomial needs m, n >= 0, got ({m}, {n})\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# (30000, 1) has F_30001 coefficients, a number of over 4300 digits
+@pytest.mark.parametrize("m,n", [(20, 20), (30000, 1)])
+def test_cli_fibonomial_over_the_cap_is_refused_before_the_cache(
+    m, n, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)  # the default cache directory would land here
+    assert run(["fibonomial", str(m), str(n)]) == 2
+    assert capsys.readouterr().err == (
+        f"refused: qfibonomial({m}, {n}) has more than 50000000 coefficients\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+# the first pair over the cap, by increasing sum and then the squares
+@pytest.mark.parametrize(
+    "argv,pair",
+    [(["verify-conjecture", "--max-sum", "40"], "(4, 33)"),
+     (["verify-conjecture", "--max-sum", "10", "--square-max", "19"], "(19, 19)"),
+     (["fibocatalan-sweep", "--max-sum", "40"], "(4, 33)")],
+)
+def test_cli_sweep_over_the_cap_is_refused_before_any_pair(
+    argv, pair, tmp_path, monkeypatch, capsys
+):
+    def no_work(m, n):
+        raise AssertionError("qfibonomial called before the refusal")
+
+    monkeypatch.setattr(sweeps, "qfibonomial", no_work)
+    out = tmp_path / "report"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"refused: qfibonomial{pair} has more than 50000000 coefficients\n"
+    assert not out.exists()
 
 
 # -- sweeps through the CLI --------------------------------------------------

@@ -91,7 +91,8 @@ def test_mul_distributes(a, b, c):
     assert mul(a, b + c) == mul(a, b) + mul(a, c)
 
 
-@given(polys, st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=4))
+# n * r runs past len(p) as well as inside it
+@given(polys, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
 def test_mul_q_analog_matches_general_mul(p, n, r):
     assert mul_q_analog(p, n, r) == mul(p, q_analog(n, r))
 
