@@ -38,10 +38,27 @@ def resolve_cache_dir(cli_value: Optional[str] = None) -> Path:
     return Path(DEFAULT_DIR)
 
 
-# comma-joined integers as str() spells them: ASCII digits, no sign on 0,
-# no "+", no leading zero, padding or "_"; possessive, so a long entry
-# matches without backtracking
-_DECIMALS = re.compile(rb"(?:0|-?[1-9][0-9]*+)(?:,(?:0|-?[1-9][0-9]*+))*+")
+# what str() never writes in a comma-joined list of ints once a comma is put
+# at each end: an empty element, a leading zero, and a "-" that is not first
+# in its element or not followed by 1-9 ("-0" included)
+_EMPTY_OR_LEADING_ZERO = re.compile(rb",(?:,|0[0-9])")
+_MISPLACED_MINUS = re.compile(rb"-(?:[^1-9]|(?<=[^,]-))")
+
+
+def _spelled_as_str(data: bytes) -> bool:
+    """Whether data is comma-joined ints as str() spells them: ASCII digits,
+    no sign on 0, no "+", no leading zero, padding or "_".
+
+    Searches for a fault instead of matching one pattern repeated per
+    element: without the possessive quantifiers of Python 3.11, such a
+    pattern keeps backtracking state for every element (about 240 B each).
+    """
+    framed = b"".join((b",", data, b","))
+    return not (
+        data.translate(None, b"0123456789,-")
+        or _EMPTY_OR_LEADING_ZERO.search(framed)
+        or _MISPLACED_MINUS.search(framed)
+    )
 
 
 def cache_key(op: str, params: dict) -> str:
@@ -83,7 +100,7 @@ class PolyCache:
                 return None
             data = ",".join(coeffs).encode()
             # a string holding a comma would join into the same bytes
-            if not _DECIMALS.fullmatch(data) or data.count(b",") != len(coeffs) - 1:
+            if not _spelled_as_str(data) or data.count(b",") != len(coeffs) - 1:
                 return None
             checksum = hashlib.sha256(data).hexdigest()
             if entry["checksum"] != checksum:

@@ -27,10 +27,14 @@ the inverse of the k = 1 removal (an empty one-column prefix rotates back
 to a full column of verticals); without it the all-vertical board's image
 would have no way back up.
 
-Iterating step_down partitions T(m, 2) into F_{m+1} disjoint chains
-("blocks"), each a run of consecutive weights; the block is keyed by its
-fixed point, which is the unique member with an empty bottom row and no
-verticals, i.e. by its top-row domino signature.
+So step_down is injective off its fixed points: two tilings it moves to
+the same place are both step_up of that place.  Its paths are therefore
+disjoint chains ("blocks") of consecutive weights, one ending at each fixed
+point, and step_up retraces each chain from that bottom.  The fixed points
+are the tilings with an empty bottom row and no verticals, one per top row
+s of the 1 x m strip, and the moves never touch the top row, so T(m, 2)
+splits into F_{m+1} chains, chain s being exactly the tilings with top
+row s.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ from dataclasses import dataclass
 from .fib import fib
 from .tilings import (
     DEFAULT_ENUMERATION_CAP,
+    EnumerationCapExceeded,
     HeightProfile,
     Tiling,
-    enumerate_tilings,
+    strip_tilings,
+    tiling_count,
     weight_degree,
 )
 
@@ -157,45 +163,35 @@ class ChainBlock:
 def decompose(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[ChainBlock]:
     """Partition T(m, 2) into its chain blocks, sorted by min_degree.
 
-    Every tiling is walked down to its fixed point (with path memoization,
-    so each edge of the forest is computed once); members grouped by fixed
-    point form the blocks.
+    Each block is built from its top row s: start at the fixed point with
+    top row s (empty bottom row, no verticals) and walk step_up until it is
+    fixed.  Since step_up(step_down(t)) == t whenever step_down moves t,
+    that walk retraces the whole step_down path ending there, so the F_{m+1}
+    walks cover T(m, 2) once.  Refuses over the cap like enumerate_tilings.
     """
     if m < 1:
         raise ValueError(f"decompose needs m >= 1, got {m}")
-    all_tilings = list(enumerate_tilings(m, 2, cap=cap))
+    projected = tiling_count(m, 2)
+    if projected > cap:
+        raise EnumerationCapExceeded(m, 2, projected, cap)
     guard = fib(m + 3)  # no chain is longer than the weight range
-    roots: dict[Tiling, Tiling] = {}
-    for t in all_tilings:
-        path = []
-        cur = t
-        for _ in range(guard + 1):
-            if cur in roots:
-                break
-            nxt = step_down(cur)
-            if nxt == cur:
-                roots[cur] = cur
-                break
-            path.append(cur)
-            cur = nxt
-        else:
-            raise RuntimeError(f"chain walk exceeded {guard} steps from {t}")
-        root = roots[cur]
-        for p in path:
-            roots[p] = root
-    groups: dict[Tiling, list[Tiling]] = {}
-    for t in all_tilings:
-        groups.setdefault(roots[t], []).append(t)
     blocks = []
-    for root, members in groups.items():
-        members.sort(key=weight_degree, reverse=True)
-        degrees = [weight_degree(x) for x in members]
+    for top in strip_tilings(m):
+        chain = [_assemble(m, m, (), top)]
+        for _ in range(guard):
+            nxt = step_up(chain[-1])
+            if nxt == chain[-1]:
+                break
+            chain.append(nxt)
+        else:
+            raise RuntimeError(f"chain walk exceeded {guard} steps from {chain[0]}")
+        chain.reverse()
         blocks.append(
             ChainBlock(
-                tilings=tuple(members),
-                min_degree=degrees[-1],
-                max_degree=degrees[0],
-                signature=root.above_rows[1],
+                tilings=tuple(chain),
+                min_degree=weight_degree(chain[-1]),
+                max_degree=weight_degree(chain[0]),
+                signature=top,
             )
         )
     blocks.sort(key=lambda b: b.min_degree)

@@ -60,13 +60,17 @@ class CoefficientCapExceeded(Exception):
 def capped_size(m: int, n: int) -> int:
     """Coefficients of qfibonomial(m, n), refused above COEFFICIENT_CAP by
     the CLI and the sweeps before any work; qfibonomial has no limit."""
-    size = qfibonomial_degree(m, n) + 1  # raises on a negative side
-    if size > COEFFICIENT_CAP:
-        # no count in the message: str() refuses an int of over 4300 digits
-        raise CoefficientCapExceeded(
-            f"qfibonomial({m}, {n}) has more than {COEFFICIENT_CAP} coefficients"
-        )
-    return size
+    # with both sides positive there are at least F_{max(m, n) + 1}
+    # coefficients, and F_39 is over the cap, so a side of 38 or more is
+    # refused without growing the Fibonacci table to m + n + 2
+    if min(m, n) < 1 or max(m, n) < 38:
+        size = qfibonomial_degree(m, n) + 1  # raises on a negative side
+        if size <= COEFFICIENT_CAP:
+            return size
+    # no count in the message: str() refuses an int of over 4300 digits
+    raise CoefficientCapExceeded(
+        f"qfibonomial({m}, {n}) has more than {COEFFICIENT_CAP} coefficients"
+    )
 
 
 def qfibonomial(m: int, n: int) -> Polynomial:

@@ -1,5 +1,6 @@
 import pytest
 
+import fibwork.chains as chains
 from fibwork.chains import (
     ChainBlock,
     Classification,
@@ -11,7 +12,14 @@ from fibwork.chains import (
 from fibwork.fib import fib
 from fibwork.fibonomial import closed_form_n2, fibonomial
 from fibwork.qpoly import Polynomial
-from fibwork.tilings import HeightProfile, Tiling, enumerate_tilings, weight_degree
+from fibwork.tilings import (
+    EnumerationCapExceeded,
+    HeightProfile,
+    Tiling,
+    enumerate_tilings,
+    strip_tilings,
+    weight_degree,
+)
 
 
 def two_row(m, prefix, bottom=(), top=()):
@@ -140,9 +148,61 @@ def test_blocks_reconstruct_two_row_polynomial(m):
     assert Polynomial(counts) == closed_form_n2(m)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_chains_cover_each_two_row_tiling_once(m):
+    blocks = decompose(m)
+    members = [t for b in blocks for t in b.tilings]
+    assert len(members) == len(set(members))
+    assert set(members) == set(enumerate_tilings(m, 2))
+    # chain s is exactly the set of tilings whose top row is s
+    by_top = {}
+    for t in enumerate_tilings(m, 2):
+        by_top.setdefault(t.above_rows[1], set()).add(t)
+    assert {b.signature: set(b.tilings) for b in blocks} == by_top
+
+
+def _interval(m, top):
+    """[lo, hi] of the chain with top row `top`: lo = sum of F_p over its
+    domino ends, hi = lo + sum of F_{p+1} for p from its last end (or 0) to m,
+    minus 1."""
+    lo = sum(fib(p) for p in top)
+    last = top[-1] if top else 0
+    return lo, lo + sum(fib(p + 1) for p in range(last, m + 1)) - 1
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_chain_intervals_follow_the_top_row(m):
+    # observations about this decomposition, not the paper's definition of
+    # "nearly symmetric": the intervals have a closed form in the top row,
+    # their multiset is its own mirror, but single chains are off centre
+    blocks = decompose(m)
+    assert sorted(
+        (b.min_degree, b.max_degree, b.signature) for b in blocks
+    ) == sorted(_interval(m, top) + (top,) for top in strip_tilings(m))
+    D = fib(m + 3) - 2
+    intervals = sorted((b.min_degree, b.max_degree) for b in blocks)
+    assert intervals == sorted((D - hi, D - lo) for lo, hi in intervals)
+    off_centre = max(abs(lo + hi - D) for lo, hi in intervals)
+    assert off_centre == (fib(m - 1) - 1 if m >= 2 else 0)
+
+
 def test_decompose_rejects_degenerate():
     with pytest.raises(ValueError):
         decompose(0)
+
+
+def test_decompose_refuses_over_the_cap_before_any_walk(monkeypatch):
+    monkeypatch.setattr(chains, "step_up", lambda t: pytest.fail("walked"))
+    with pytest.raises(EnumerationCapExceeded):
+        decompose(5, cap=fibonomial(5, 2) - 1)
+
+
+def test_decompose_walk_guard(monkeypatch):
+    # a step_up that never settles: the walk gives up after F_{m+3} steps
+    flip = {two_row(3, 3): two_row(3, 2), two_row(3, 2): two_row(3, 3)}
+    monkeypatch.setattr(chains, "step_up", lambda t: flip.get(t, t))
+    with pytest.raises(RuntimeError, match="exceeded 8 steps"):
+        decompose(3)
 
 
 def test_chain_block_is_plain_data():

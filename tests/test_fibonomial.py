@@ -228,6 +228,31 @@ def test_coefficient_cap_admits_18_18_and_refuses_19_19():
         capped_size(-1, 40)
 
 
+def test_coefficient_cap_refuses_a_long_side_before_growing_the_fib_table():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CoefficientCapExceeded) as exc:
+            capped_size(40_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "qfibonomial(40000, 1) has more than 50000000 coefficients"
+    # F_40001 alone is about 4 kB; the table up to it is about 75 MB
+    assert peak < 1 << 20
+    assert capped_size(37, 1) == 39_088_169
+    # the early refusal changes no verdict
+    for m in range(60):
+        for n in range(60):
+            size = qfibonomial_degree(m, n) + 1
+            if size > 50_000_000:
+                with pytest.raises(CoefficientCapExceeded):
+                    capped_size(m, n)
+            else:
+                assert capped_size(m, n) == size
+
+
 def test_degree_check_survives_optimize():
     code = (
         "import importlib\n"

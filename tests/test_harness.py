@@ -87,6 +87,106 @@ def test_cache_get_refuses_strings_str_would_not_write(tmp_path, coeffs):
     assert cache.get("test-op", params) is None
 
 
+def _spelled_by_str(data):
+    try:
+        return all(str(int(e)).encode() == e for e in data.split(b","))
+    except ValueError:
+        return False
+
+
+def test_cache_spelling_check_agrees_with_str_on_every_short_list():
+    from itertools import product
+
+    from fibwork.cache import _spelled_as_str
+
+    for length in range(9):
+        for chars in product(b"01-,", repeat=length):
+            data = bytes(chars)
+            assert _spelled_as_str(data) is _spelled_by_str(data), data
+
+
+def test_cache_spelling_check_keeps_no_state_per_element():
+    import tracemalloc
+
+    from fibwork.cache import _spelled_as_str
+
+    data = b",".join([b"12345678901234567890", b"-7", b"0"] * 100_000)
+    tracemalloc.start()
+    try:
+        assert _spelled_as_str(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the framed copy and translate's output buffer, 2.6 MB each; a pattern
+    # repeated per element would keep about 240 B for each of 300,000
+    assert peak < 3 * len(data)
+
+
+def _syntax_newer_than_3_10(pattern):
+    """Possessive quantifiers (*+, ++, ?+, }+) and atomic groups ((?>) outside
+    character classes: regex syntax that Python 3.10's re rejects."""
+    found = []
+    i, in_class = 0, False
+    while i < len(pattern):
+        c = pattern[i]
+        if c == "\\":
+            i += 2
+            continue
+        if in_class:
+            in_class = c != "]"
+        elif c == "[":
+            in_class = True
+            # a "]" first in the class (after any "^") is a literal
+            i += 2 if pattern[i + 1:i + 2] == "^" else 1
+            if pattern[i:i + 1] == "]":
+                i += 1
+            continue
+        elif pattern.startswith("(?>", i):
+            found.append("(?>")
+        elif c in "*+?}" and pattern[i + 1:i + 2] == "+":
+            found.append(c + "+")
+        i += 1
+    return found
+
+
+def _regex_literals_in_src():
+    """(file, pattern) for every str or bytes literal passed as the pattern
+    of an re.<function> call in the package source."""
+    import ast
+
+    src = Path(cli.__file__).resolve().parent
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "re"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                pattern = node.args[0].value
+                if isinstance(pattern, bytes):
+                    pattern = pattern.decode("latin-1")
+                out.append((path.name, pattern))
+    return out
+
+
+def test_regex_literals_compile_on_python_3_10():
+    # pyproject admits Python 3.10, whose re rejects possessive quantifiers
+    # and atomic groups at import time
+    literals = _regex_literals_in_src()
+    assert "cache.py" in {f for f, _ in literals}
+    assert [(f, p) for f, p in literals if _syntax_newer_than_3_10(p)] == []
+    # the scan itself sees what 3.10 rejects, and only that
+    assert _syntax_newer_than_3_10(r"(?:0|-?[1-9][0-9]*+)(?:,[0-9]++)*+") == [
+        "*+", "++", "*+"
+    ]
+    assert _syntax_newer_than_3_10(r"a?+(?>b)c{2}+") == ["?+", "(?>", "}+"]
+    assert _syntax_newer_than_3_10(r"[*+][]+][^]?+]\++(?:a)+") == []
+
+
 def test_cli_fibonomial_uses_and_fills_cache(tmp_path, capsys):
     out = tmp_path / "out.json"
     cdir = tmp_path / "cache"
@@ -438,6 +538,21 @@ def test_cli_chains_table(capsys, tmp_path):
     assert "chains: m=3, 3 blocks, 15 tilings" in out
     assert out.count("degrees [") == 3
     assert gallery.read_text().startswith("<svg")
+
+
+def test_cli_chain_outputs_are_pinned(capsys, tmp_path):
+    # full bytes of `chains 6` and of the m = 5 gallery: how the chains are
+    # built must not change what the CLI writes
+    assert run(["chains", "6"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "8ac4a0b10fc449737229b7572acf80ab229969f3e0dbb16131355d5f249c9188"
+    )
+    svg = tmp_path / "chains.svg"
+    assert run(["render", "5", "2", "--select", "chains", "--out", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "fe56afd8fdc00a9a0157c1636e6059801dca5ed56b7900cc5424cb38adaafb98"
+    )
 
 
 # -- plumbing ----------------------------------------------------------------
