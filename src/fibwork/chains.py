@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fib import fib
 from .tilings import (
@@ -65,16 +66,20 @@ def _parts(t: Tiling) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """(m, prefix, bottom_ends, top_ends) of a two-row tiling."""
     if t.n != 2:
         raise ValueError("chain moves are defined on two-row boards only")
-    heights = t.profile.heights
-    prefix = sum(1 for h in heights if h == 0)
-    return (t.m, prefix, t.above_rows[0], t.above_rows[1])
+    # the bottom row's prefix is the run of height-0 columns
+    return (t.m, t.profile.row_prefix(1), t.above_rows[0], t.above_rows[1])
 
 
 def _assemble(
     m: int, prefix: int, bottom: tuple[int, ...], top: tuple[int, ...]
 ) -> Tiling:
-    pr = HeightProfile((0,) * prefix + (2,) * (m - prefix), 2)
-    return Tiling(pr, (tuple(bottom), tuple(top)), ((),) * m)
+    return Tiling(_profile(m, prefix), (tuple(bottom), tuple(top)), ((),) * m)
+
+
+@lru_cache(maxsize=None)
+def _profile(m: int, prefix: int) -> HeightProfile:
+    """Columns 1..prefix at height 0, the rest at 2: one object per shape."""
+    return HeightProfile((0,) * prefix + (2,) * (m - prefix), 2)
 
 
 def _packed_run(end: int) -> tuple[int, ...]:

@@ -339,7 +339,7 @@ def _parser(only: str | None) -> argparse.ArgumentParser:
     if wanted("oracle-check"):
         sp = sub.add_parser(
             "oracle-check",
-            help="exhaustive tiling enumeration vs. algebraic construction",
+            help="tiling sum and two-row chains vs. algebraic construction",
         )
         sp.add_argument("--max-sum", type=int_at_least(0), default=None)
         common(sp, fmt=False, out=False)

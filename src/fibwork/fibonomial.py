@@ -46,6 +46,8 @@ def qfibonomial_degree(m: int, n: int) -> int:
     """Degree of qfibonomial(m, n): F_{m+n+2} - F_{m+2} - F_{n+2} + 1."""
     if m < 0 or n < 0:
         raise ValueError(f"qfibonomial needs m, n >= 0, got ({m}, {n})")
+    if min(m, n) == 0:
+        return 0  # what the formula gives, without growing the table to m + n + 2
     return fib(m + n + 2) - fib(m + 2) - fib(n + 2) + 1
 
 

@@ -203,9 +203,9 @@ def _first_diff(a: Polynomial, b: Polynomial) -> int:
 def oracle_check(
     max_sum: int = 8, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> OracleReport:
-    """Tiling enumeration vs. algebraic construction, coefficient for
-    coefficient, on every pair with m + n <= max_sum; additionally the
-    two-row chain reconstruction vs. the closed form.
+    """Tiling sum vs. algebraic construction, coefficient for coefficient,
+    on every pair with m + n <= max_sum; additionally the two-row chain
+    reconstruction vs. the closed form.
 
     Refuses before any work when a pair of the range is over the cap; the
     two-row boards are pairs of the range too.

@@ -24,17 +24,25 @@ Weights (exponents of q; everything stays polynomial):
 Summing q^(total weight) over all tilings of all profiles yields exactly
 qfibonomial(m, n) — the independent route the oracle-check harness pits
 against the algebraic construction.
+
+The weights factor along the path, so tiling_polynomial computes that sum
+column by column over the path's height instead of visiting each tiling,
+listing each strip's tilings but sharing no q-analog arithmetic with the
+algebraic route.  enumerate_tilings and weight_degree build every tiling
+as an object; the tests check the sum against their histogram.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterator
 
 from .fib import fib
-from .fibonomial import fibonomial, qfibonomial_degree
+from .fibonomial import fibonomial
 from .qpoly import Polynomial
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -113,7 +121,7 @@ class HeightProfile:
 
     def row_prefix(self, j: int) -> int:
         """Number of above-path cells in row j (a prefix of the columns)."""
-        return sum(1 for h in self.heights if h < j)
+        return bisect_left(self.heights, j)  # the heights are ascending
 
 
 def profiles(m: int, n: int) -> Iterator[HeightProfile]:
@@ -233,37 +241,75 @@ def tiling_polynomial(
 ) -> Polynomial:
     """Sum of q^weight over every tiling — the combinatorial route.
 
-    Goes through the same profiles and strip alternatives as
-    enumerate_tilings, and refuses over the cap the same way, but builds no
-    Tiling: a tiling's weight is the sum of its strips' weights plus the
-    forced dominoes of its profile.  So for each profile it lists every
-    strip alternative's weight once (row j: F_j times the sum of F_p over
-    its domino ends; column i: F_i times the sum of F_p over its domino
-    tops), checking each alternative as Tiling does, then visits every
-    tiling as one combination of those weights.
+    A tiling's weight is the sum of its strips' weights plus its forced
+    dominoes, and row j's strip is as long as its above-path prefix, so the
+    sum is a transfer over the columns.  After columns 1..i, state[h] is
+    the coefficient list of the partial boards whose path stands at height
+    h with every row up to h closed.  The path then climbs: each row j it
+    passes has prefix length i and multiplies by its strip's weights
+    F_j * sum(F_p), one term per tiling of a strip of i cells.  Column
+    i + 1 at height h >= 2 multiplies by its forced domino q^(F_{i+2} F_h)
+    and by its free strip of h - 2 cells, scaled by F_{i+1}; height 0
+    multiplies by 1 and height 1 holds nothing.  After column m the climb
+    to height n closes the board.  A board costs O(mn) strip products, each
+    strip's tilings listed from strip_tilings and checked as Tiling checks
+    them; no q-analog identity is used.
 
-    Matches qfibonomial(m, n) coefficient for coefficient; the harness's
-    oracle-check exists to confirm exactly that on exhaustive ranges.
+    Refuses over the cap as enumerate_tilings does, so both routes cover
+    the same boards.  Matches qfibonomial(m, n) coefficient for
+    coefficient; the harness's oracle-check exists to confirm exactly that.
     """
     _refuse_over_cap(m, n, cap)
-    counts = [0] * (qfibonomial_degree(m, n) + 1)
-    for pr in profiles(m, n):
-        forced = 0
-        weight_lists = [_strip_weights(fib(j), pr.row_prefix(j)) for j in range(1, n + 1)]
-        for i, h in enumerate(pr.heights, start=1):
-            if h >= 2:
-                forced += fib(i + 1) * fib(h)
-                weight_lists.append(_strip_weights(fib(i), h - 2))
-        for combo in itertools.product(*weight_lists):
-            counts[forced + sum(combo)] += 1
-    return Polynomial(counts)
+    state: list[list[int]] = [[1]] + [[] for _ in range(n)]
+    for i in range(m + 1):
+        # climb after column i: boards standing at any height below h close
+        # row h with prefix i on their way up to it
+        row = _strip_sums(i)
+        run: list[int] = []
+        for h in range(n + 1):
+            if h:
+                run = _times_strip(run, row, fib(h))
+            _add_into(run, state[h])
+            state[h] = run
+        if i < m:
+            # column i + 1 stands at height h
+            for h in range(1, n + 1):
+                if h == 1:
+                    state[h] = []  # no room for the forced domino
+                else:
+                    state[h] = _times_strip(
+                        state[h], _strip_sums(h - 2), fib(i + 1), fib(i + 2) * fib(h)
+                    )
+    return Polynomial(state[n])
 
 
-def _strip_weights(scale: int, length: int) -> list[int]:
-    """scale * sum(F_p) over the domino positions of each strip_tilings(length)."""
-    weights = []
+@lru_cache(maxsize=None)
+def _strip_sums(length: int) -> tuple[int, ...]:
+    """sum(F_p) over the domino positions of each strip_tilings(length),
+    ascending.  The sums are Zeckendorf sums, so no two tilings share one."""
+    sums = []
     for positions in strip_tilings(length):
         if not _strip_valid(positions, length):
             raise ValueError(f"bad domino positions {positions} in a strip of {length}")
-        weights.append(scale * sum(fib(p) for p in positions))
-    return weights
+        sums.append(sum(fib(p) for p in positions))
+    return tuple(sorted(sums))
+
+
+def _times_strip(
+    c: list[int], sums: tuple[int, ...], scale: int, shift: int = 0
+) -> list[int]:
+    """c * q^shift * sum(q^(scale * s) for s in sums), as a new list."""
+    k = len(c)
+    out = [0] * (shift + scale * sums[-1] + k)
+    for s in sums:
+        o = shift + scale * s
+        out[o:o + k] = map(add, out[o:o + k], c)
+    return out
+
+
+def _add_into(acc: list[int], c: list[int]) -> None:
+    """acc += c, coefficient by coefficient, growing acc as needed."""
+    k = len(c)
+    if len(acc) < k:
+        acc.extend([0] * (k - len(acc)))
+    acc[:k] = map(add, acc[:k], c)

@@ -253,6 +253,20 @@ def test_coefficient_cap_refuses_a_long_side_before_growing_the_fib_table():
                 assert capped_size(m, n) == size
 
 
+def test_coefficient_cap_sizes_a_zero_side_without_growing_the_fib_table():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        size = capped_size(100_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 1
+    # the table up to F_100002 takes hundreds of MB
+    assert peak < 1 << 20
+
+
 def test_degree_check_survives_optimize():
     code = (
         "import importlib\n"

@@ -1,5 +1,9 @@
+import ast
+import inspect
+
 import pytest
 
+import fibwork.tilings
 from fibwork.fib import fib, zeckendorf
 from fibwork.fibonomial import fibonomial, qfibonomial, qfibonomial_degree
 from fibwork.qpoly import Polynomial, q_analog
@@ -114,12 +118,32 @@ def test_polynomial_matches_algebraic_route(m, n):
     assert tiling_polynomial(m, n) == qfibonomial(m, n)
 
 
-@pytest.mark.parametrize("m,n", [(0, 0), (1, 3), (3, 3), (4, 2), (2, 5), (5, 3)])
+@pytest.mark.parametrize("m,n", [(m, s - m) for s in range(0, 9) for m in range(0, s + 1)])
 def test_polynomial_is_histogram_of_enumerated_weights(m, n):
     counts = [0] * (qfibonomial_degree(m, n) + 1)
     for t in enumerate_tilings(m, n):
         counts[weight_degree(t)] += 1
     assert tiling_polynomial(m, n) == Polynomial(counts)
+
+
+def test_polynomial_matches_algebraic_route_with_the_cap_lifted():
+    for s in range(0, 15):
+        for m in range(0, s + 1):
+            assert tiling_polynomial(m, s - m, cap=10**40) == qfibonomial(m, s - m), (m, s - m)
+
+
+def test_tiling_route_takes_no_algebra_from_qpoly():
+    # the combinatorial route is an oracle for the algebraic one only while
+    # it shares none of its arithmetic
+    tree = ast.parse(inspect.getsource(fibwork.tilings))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("qpoly"):
+            taken.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # no module-level handle on qpoly: `import fibwork.qpoly`, `from . import qpoly`
+            assert not any(alias.name.endswith("qpoly") for alias in node.names)
+    assert taken == {"Polynomial"}
 
 
 @pytest.mark.parametrize("m", range(0, 7))
