@@ -9,9 +9,14 @@ criteria for small shapes and by a scanned predicate in general:
     iff a >= r*(b-1) or r divides a;
   * three factors [a]_q [b]_q [c]_{q^2}: symmetric and unimodal
     iff 2c <= a+b, or a or b is even;
-  * general predicate (sufficient, conjecturally; necessity fails in
-    general but is conjectured for k <= 3 or r <= 3):
+  * general predicate (sufficient, conjecturally):
     r divides some a_i, or b <= 1 + sum over i of floor(a_i / r).
+    Necessity fails in general, and it is quoted as conjectured for
+    k <= 3 or r <= 3, but [2]_q^6 [b]_{q^3} is unimodal for b = 2 and 3
+    while the predicate rejects it (k = 6, r = 3).  The paper's abstract
+    does not state the conjecture, so either that region is misquoted or
+    this is a counterexample to the r <= 3 half.  The box k <= 3,
+    r <= 20, values <= 40 (9,378,400 specs) holds no necessity finding.
 
 scan_products sweeps a parameter box, compares the predicate against the
 actual coefficient check, and reports violations in both directions.  It

@@ -26,10 +26,12 @@ qfibonomial(m, n) — the independent route the oracle-check harness pits
 against the algebraic construction.
 
 The weights factor along the path, so tiling_polynomial computes that sum
-column by column over the path's height instead of visiting each tiling,
-listing each strip's tilings but sharing no q-analog arithmetic with the
-algebraic route.  enumerate_tilings and weight_degree build every tiling
-as an object; the tests check the sum against their histogram.
+column by column over the path's height instead of visiting each tiling.
+Every strip, listed or summed, follows the model's own recursion: it ends
+in a square or in a domino at its last position.  The sum shares no
+q-analog arithmetic with the algebraic route.  enumerate_tilings and
+weight_degree build every tiling as an object; the tests check the sum
+against their histogram.
 """
 
 from __future__ import annotations
@@ -67,21 +69,17 @@ def strip_tilings(length: int) -> tuple[tuple[int, ...], ...]:
 
     A tiling is the ascending tuple of domino right-end positions (a domino
     at position p covers cells p-1 and p, so positions run 2..length and
-    consecutive positions differ by at least 2).  Listed in lexicographic
-    order of those tuples; the empty (all-squares) tiling comes first.
+    consecutive positions differ by at least 2).  The strip ends in a square
+    (a tiling of length - 1) or in a domino at position length (a tiling of
+    length - 2, extended).  Listed in lexicographic order of those tuples;
+    the empty (all-squares) tiling comes first.
     """
     if length < 0:
         raise ValueError(f"negative strip length {length}")
-    return _strips_from(2, length)
-
-
-@lru_cache(maxsize=None)
-def _strips_from(min_end: int, length: int) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = [()]
-    for p in range(min_end, length + 1):
-        for rest in _strips_from(p + 2, length):
-            out.append((p,) + rest)
-    return tuple(out)
+    if length < 2:
+        return ((),)
+    ending_in_domino = (s + (length,) for s in strip_tilings(length - 2))
+    return tuple(sorted((*strip_tilings(length - 1), *ending_in_domino)))
 
 
 def _strip_valid(positions: tuple[int, ...], length: int) -> bool:
@@ -246,14 +244,15 @@ def tiling_polynomial(
     sum is a transfer over the columns.  After columns 1..i, state[h] is
     the coefficient list of the partial boards whose path stands at height
     h with every row up to h closed.  The path then climbs: each row j it
-    passes has prefix length i and multiplies by its strip's weights
-    F_j * sum(F_p), one term per tiling of a strip of i cells.  Column
-    i + 1 at height h >= 2 multiplies by its forced domino q^(F_{i+2} F_h)
-    and by its free strip of h - 2 cells, scaled by F_{i+1}; height 0
-    multiplies by 1 and height 1 holds nothing.  After column m the climb
-    to height n closes the board.  A board costs O(mn) strip products, each
-    strip's tilings listed from strip_tilings and checked as Tiling checks
-    them; no q-analog identity is used.
+    passes has prefix length i and multiplies by the weight sum of a strip
+    of i cells, a domino at position p weighing F_j * F_p.  Column i + 1 at
+    height h >= 2 multiplies by its forced domino q^(F_{i+2} F_h) and by its
+    free strip of h - 2 cells, scaled by F_{i+1}; height 0 multiplies by 1
+    and height 1 holds nothing.  After column m the climb to height n
+    closes the board.  Each strip product splits the strip by its last tile
+    (a square, or a domino at its end), so a board costs O(mn) strip
+    products of at most m + n shifted adds each; no q-analog identity is
+    used.
 
     Refuses over the cap as enumerate_tilings does, so both routes cover
     the same boards.  Matches qfibonomial(m, n) coefficient for
@@ -264,11 +263,10 @@ def tiling_polynomial(
     for i in range(m + 1):
         # climb after column i: boards standing at any height below h close
         # row h with prefix i on their way up to it
-        row = _strip_sums(i)
         run: list[int] = []
         for h in range(n + 1):
             if h:
-                run = _times_strip(run, row, fib(h))
+                run = _times_strip(run, i, fib(h))
             _add_into(run, state[h])
             state[h] = run
         if i < m:
@@ -278,33 +276,26 @@ def tiling_polynomial(
                     state[h] = []  # no room for the forced domino
                 else:
                     state[h] = _times_strip(
-                        state[h], _strip_sums(h - 2), fib(i + 1), fib(i + 2) * fib(h)
+                        state[h], h - 2, fib(i + 1), fib(i + 2) * fib(h)
                     )
     return Polynomial(state[n])
 
 
-@lru_cache(maxsize=None)
-def _strip_sums(length: int) -> tuple[int, ...]:
-    """sum(F_p) over the domino positions of each strip_tilings(length),
-    ascending.  The sums are Zeckendorf sums, so no two tilings share one."""
-    sums = []
-    for positions in strip_tilings(length):
-        if not _strip_valid(positions, length):
-            raise ValueError(f"bad domino positions {positions} in a strip of {length}")
-        sums.append(sum(fib(p) for p in positions))
-    return tuple(sorted(sums))
+def _times_strip(c: list[int], length: int, scale: int, shift: int = 0) -> list[int]:
+    """c * q^shift * (the weight sum of a strip of length cells, each
+    domino at position p weighing scale * F_p), as a new list.
 
-
-def _times_strip(
-    c: list[int], sums: tuple[int, ...], scale: int, shift: int = 0
-) -> list[int]:
-    """c * q^shift * sum(q^(scale * s) for s in sums), as a new list."""
-    k = len(c)
-    out = [0] * (shift + scale * sums[-1] + k)
-    for s in sums:
-        o = shift + scale * s
-        out[o:o + k] = map(add, out[o:o + k], c)
-    return out
+    The strip ends in a square or in a domino at position L, so the sums
+    run A_0 = A_1 = c, A_L = A_{L-1} + q^(scale F_L) A_{L-2}.
+    """
+    prev = cur = c
+    for p in range(2, length + 1):
+        o = scale * fib(p)
+        k = len(prev)
+        nxt = cur + [0] * (o + k - len(cur))
+        nxt[o:o + k] = map(add, nxt[o:o + k], prev)
+        prev, cur = cur, nxt
+    return [0] * shift + cur
 
 
 def _add_into(acc: list[int], c: list[int]) -> None:

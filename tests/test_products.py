@@ -112,6 +112,23 @@ def test_counterexample_is_unimodal_but_fails_predicate():
     assert not product_unimodal_predicate(spec)
 
 
+@pytest.mark.parametrize(
+    "base,coeffs",
+    [
+        (2, (1, 6, 15, 21, 21, 21, 21, 15, 6, 1)),
+        (3, (1, 6, 15, 21, 21, 21, 22, 21, 21, 21, 15, 6, 1)),
+    ],
+)
+def test_six_squares_times_a_cube_analog_is_unimodal_but_fails_predicate(base, coeffs):
+    # [2]_q^6 [b]_{q^3}: necessity fails at r = 3 (k = 6), checked with plain mul
+    p = q_analog(base, r=3)
+    for _ in range(6):
+        p = mul(p, q_analog(2))
+    assert p.coeffs == coeffs
+    assert is_unimodal(p) == (True, None)
+    assert not product_unimodal_predicate(ProductSpec((2,) * 6, base, 3))
+
+
 def test_scan_small_box_has_no_findings():
     report = scan_products(k_max=2, r_max=2, value_max=5)
     # k in {1,2}, r = 2: 5*5 + 15*5 = 100 specs

@@ -1,11 +1,12 @@
 import ast
+import hashlib
 import inspect
 
 import pytest
 
 import fibwork.tilings
 from fibwork.fib import fib, zeckendorf
-from fibwork.fibonomial import fibonomial, qfibonomial, qfibonomial_degree
+from fibwork.fibonomial import closed_form_n2, fibonomial, qfibonomial, qfibonomial_degree
 from fibwork.qpoly import Polynomial, q_analog
 from fibwork.tilings import (
     EnumerationCapExceeded,
@@ -33,14 +34,24 @@ def test_strip_counts_are_fibonacci():
         assert len(strip_tilings(length)) == fib(length + 1)
 
 
-def test_strip_tilings_lex_order_and_validity():
-    strips = strip_tilings(6)
+@pytest.mark.parametrize("length", range(0, 17))
+def test_strip_tilings_lex_order_and_validity(length):
+    strips = strip_tilings(length)
     assert strips[0] == ()
     assert list(strips) == sorted(strips)
     for s in strips:
-        assert all(2 <= p <= 6 for p in s)
+        assert all(2 <= p <= length for p in s)
         assert all(b - a >= 2 for a, b in zip(s, s[1:]))
     assert len(set(strips)) == len(strips)
+
+
+def test_strip_tilings_listing_is_pinned():
+    # render --select and the chain order index into these lists, so the
+    # order itself is pinned, not only its sortedness
+    listed = repr(tuple(strip_tilings(length) for length in range(0, 17)))
+    assert hashlib.sha256(listed.encode()).hexdigest() == (
+        "e940d95c65529fbf1cf73c8043e2f6691149bf5075733d619f177bb808039790"
+    )
 
 
 def test_strip_negative_length_rejected():
@@ -130,6 +141,17 @@ def test_polynomial_matches_algebraic_route_with_the_cap_lifted():
     for s in range(0, 15):
         for m in range(0, s + 1):
             assert tiling_polynomial(m, s - m, cap=10**40) == qfibonomial(m, s - m), (m, s - m)
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_polynomial_matches_the_n2_closed_form(m):
+    # a third route: the piecewise n = 2 formula, with the cap lifted
+    assert tiling_polynomial(m, 2, cap=10**40) == closed_form_n2(m)
+
+
+def test_polynomial_matches_algebraic_route_on_long_strips():
+    # rows of up to 20 cells: F_21 = 10946 tilings in the longest strip
+    assert tiling_polynomial(20, 4, cap=10**40) == qfibonomial(20, 4)
 
 
 def test_tiling_route_takes_no_algebra_from_qpoly():
