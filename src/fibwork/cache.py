@@ -9,7 +9,11 @@ those strings joined by commas, the same digest as sweeps.poly_checksum.
 put takes the strings and get hands back the stored ones once they match
 that digest and are spelled as str() spells an int, so a caller formats
 each coefficient at most once and a hit formats none.  Both leave that
-digest in last_checksum.  A damaged or mismatched entry reads as a miss.
+digest in last_checksum.  An entry may also hold a shape: facts about the
+polynomial that the caller computed once (a dict of JSON values), under a
+digest of its own that also covers the coefficient digest.  A hit leaves
+it in last_shape, so a caller need not recompute it.  A damaged or
+mismatched entry reads as a miss.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Optional
 
 ENV_VAR = "FIBWORK_CACHE"
 DEFAULT_DIR = ".fibwork-cache"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def resolve_cache_dir(cli_value: Optional[str] = None) -> Path:
@@ -62,16 +66,25 @@ def _spelled_as_str(data: bytes) -> bool:
 
 
 def cache_key(op: str, params: dict) -> str:
-    canon = json.dumps({"op": op, "params": params}, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return hashlib.sha256(_canonical({"op": op, "params": params})).hexdigest()
+
+
+def _canonical(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _shape_checksum(checksum: str, shape) -> str:
+    """Digest of a shape together with the coefficient digest it belongs to."""
+    return hashlib.sha256(_canonical([checksum, shape])).hexdigest()
 
 
 class PolyCache:
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         # checksum of the coefficients the last hit returned or put stored
         self.last_checksum: Optional[str] = None
+        # shape stored beside the coefficients the last hit returned
+        self.last_shape = None
 
     def path_for(self, op: str, params: dict) -> Path:
         return self.root / (cache_key(op, params) + ".json")
@@ -79,17 +92,16 @@ class PolyCache:
     def get(self, op: str, params: dict) -> Optional[list[str]]:
         """The stored decimal-string coefficients, or None on a miss.
 
-        An entry that is not valid JSON, lacks a field, names another
-        format version, op or params, or whose coefficients are not a
+        An entry that is missing, is not valid JSON, lacks a field, names
+        another format version, op or params, whose coefficients are not a
         non-empty list of strings spelled as str() spells an int and
-        matching its checksum is a miss too; the caller's next put
-        rewrites it.  On a hit, last_checksum is the verified checksum.
+        matching its checksum, or whose shape does not match its shape
+        checksum is a miss too; the caller's next put rewrites it.  On a
+        hit, last_checksum is the verified checksum and last_shape the
+        stored shape.
         """
-        path = self.path_for(op, params)
-        if not path.exists():
-            return None
         try:
-            with open(path) as fh:
+            with open(self.path_for(op, params)) as fh:
                 entry = json.load(fh)
             coeffs = entry["coeffs"]
             if (
@@ -103,15 +115,21 @@ class PolyCache:
             if not _spelled_as_str(data) or data.count(b",") != len(coeffs) - 1:
                 return None
             checksum = hashlib.sha256(data).hexdigest()
-            if entry["checksum"] != checksum:
+            shape = entry["shape"]
+            if (entry["checksum"], entry["shape_checksum"]) != (
+                checksum, _shape_checksum(checksum, shape)
+            ):
                 return None
-        except (ValueError, KeyError, TypeError):
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
         self.last_checksum = checksum
+        self.last_shape = shape
         return coeffs
 
-    def put(self, op: str, params: dict, coeffs: list[str]) -> Path:
-        """Store decimal-string coefficients; returns the entry's path."""
+    def put(self, op: str, params: dict, coeffs: list[str], shape=None) -> Path:
+        """Store decimal-string coefficients and their shape; returns the
+        entry's path."""
+        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(op, params)
         checksum = hashlib.sha256(",".join(coeffs).encode()).hexdigest()
         entry = {
@@ -120,6 +138,8 @@ class PolyCache:
             "params": params,
             "coeffs": coeffs,
             "checksum": checksum,
+            "shape": shape,
+            "shape_checksum": _shape_checksum(checksum, shape),
             "created": datetime.now(timezone.utc).isoformat(),
         }
         # atomic publish: never leave a half-written entry at the final path

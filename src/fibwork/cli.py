@@ -29,14 +29,15 @@ from .cache import PolyCache, resolve_cache_dir
 from .chains import decompose
 from .fibonomial import CoefficientCapExceeded, capped_size, qfibonomial
 from .products import scan_products
-from .qpoly import Polynomial
 from .svg import chain_gallery_svg, tiling_svg
 from .sweeps import (
     CSV_COLUMNS,
     FIBOCAT_CSV_COLUMNS,
+    SHAPE_FIELDS,
+    SweepRecord,
     fibocatalan_sweep,
     oracle_check,
-    shape_record,
+    shape_fields,
     verify_conjecture,
 )
 from .tilings import EnumerationCapExceeded, enumerate_tilings
@@ -88,21 +89,33 @@ def cmd_fibonomial(args) -> int:
     params = {"m": args.m, "n": args.n}
     t0 = time.perf_counter()
     stored = cache.get("qfibonomial", params)
-    cached = False
     # a well-formed entry can still hold the wrong polynomial: keep it only
-    # if it has qfibonomial's length once trailing zeros are stripped (the
-    # zero polynomial has no coefficients)
-    if stored is not None and len(stored) == size:
+    # if it has qfibonomial's length, no trailing zero (str() spells zero
+    # "0" only) and a shape of that degree; a hit runs no int() and no
+    # shape predicate
+    shape = cache.last_shape
+    cached = (
+        stored is not None
+        and len(stored) == size
+        and stored[-1] != "0"
+        and type(shape) is dict
+        and shape.keys() == set(SHAPE_FIELDS)
+        and shape["degree"] == size - 1
+    )
+    if cached:
         payload = {"coeffs": stored}
-        poly = Polynomial.from_json_dict(payload)
-        cached = len(poly.coeffs) == size
-    if not cached:
+    else:
         poly = qfibonomial(args.m, args.n)
         payload = poly.to_json_dict()
-        cache.put("qfibonomial", params, payload["coeffs"])
+        shape = shape_fields(poly)
+        cache.put("qfibonomial", params, payload["coeffs"], shape)
     # the entry, its checksum (verified by get or made by put) and the
     # report share one set of strings
-    record = shape_record(args.m, args.n, poly, t0, checksum=cache.last_checksum)
+    record = SweepRecord(
+        args.m, args.n, **shape,
+        wall_time_ms=int((time.perf_counter() - t0) * 1000),
+        checksum=cache.last_checksum,
+    )
     if args.format == "csv":
         text = _records_csv(CSV_COLUMNS, [record.csv_row()])
     else:

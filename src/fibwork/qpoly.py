@@ -7,8 +7,13 @@ structural equality is semantic equality.
 
 One list-level pass, cancel_step (c * (1 - q^up) / (1 - q^down)), is behind
 every product by a q-analog and every quotient the package builds, since
-[n]_{q^r} = (1 - q^{nr}) / (1 - q^r).  mul and exact_div are the general
-product and division: public API and the tests' references.
+[n]_{q^r} = (1 - q^{nr}) / (1 - q^r).  Both of its passes run as slice
+operations, so the per-coefficient loop is in C: the shifted subtract is
+one slice assignment of map(operator.sub, ...), and the division by
+1 - q^down is one itertools.accumulate per residue class (small powers) or
+one map(operator.add, ...) per block of down coefficients (the others).
+mul and exact_div are the general product and division: public API and
+the tests' references.
 
 Peak coefficients of the polynomials handled here exceed 2^53 well inside
 the working range, which is why nothing in this module (or in the JSON
@@ -18,6 +23,7 @@ serialization) ever round-trips a coefficient through a float.
 from __future__ import annotations
 
 import operator
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from .fib import fib
@@ -246,19 +252,38 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     return Polynomial(quot)
 
 
+# powers below this divide by residue class, the others block by block
+ACCUMULATE_BELOW = 64
+
+
 def div_one_minus_q_power(coeffs: list, k: int) -> list:
     """Exact in-place division of a coefficient list by (1 - q^k).
 
-    Prefix-sum recurrence out[i] = c[i] + out[i-k].  Exactness requires the
-    last k running sums to vanish; raises NotDivisibleError otherwise.
-    Every production path divides here, through cancel_step; exact_div is
-    the general division by an arbitrary polynomial.
+    Prefix-sum recurrence out[i] = c[i] + out[i-k], run as slice operations:
+    for k below ACCUMULATE_BELOW, one itertools.accumulate per residue class
+    mod k (for k = 1, one over the whole list, without a strided copy);
+    otherwise each block of k coefficients adds the block before it, one
+    map(operator.add) per block.  (Few long strided sums beat many short
+    blocks for small k; for large k the residue classes are many and short,
+    and a strided pass over a long list reads memory out of order.)
+    Exactness requires the last k running sums to vanish; raises
+    NotDivisibleError otherwise.  Every production path divides here,
+    through cancel_step; exact_div is the general division by an arbitrary
+    polynomial.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
     n = len(coeffs)
-    for i in range(k, n):
-        coeffs[i] += coeffs[i - k]
+    if k == 1:
+        coeffs[:] = accumulate(coeffs)
+    elif k < ACCUMULATE_BELOW:
+        for r in range(min(k, n)):
+            coeffs[r::k] = accumulate(coeffs[r::k])
+    else:
+        for start in range(k, n, k):
+            coeffs[start:start + k] = map(
+                operator.add, coeffs[start:start + k], coeffs[start - k:start]
+            )
     tail = coeffs[n - k:] if n >= k else coeffs[:]
     if any(tail):
         raise NotDivisibleError(Polynomial([0] * max(0, n - k) + tail))
@@ -268,11 +293,11 @@ def div_one_minus_q_power(coeffs: list, k: int) -> list:
 
 def cancel_step(c: list, up: int, down: int) -> list:
     """c * (1 - q^up) / (1 - q^down), in place on the coefficient list c: a
-    shifted subtract (high end down), then div_one_minus_q_power, which
-    raises NotDivisibleError on a nonzero tail."""
+    shifted subtract, one slice assignment (it reads every old value before
+    it writes), then div_one_minus_q_power, which raises NotDivisibleError
+    on a nonzero tail."""
     c.extend([0] * up)
-    for i in range(len(c) - 1, up - 1, -1):
-        c[i] -= c[i - up]
+    c[up:] = map(operator.sub, c[up:], c)
     return div_one_minus_q_power(c, down)
 
 

@@ -9,6 +9,7 @@ key (wall times excepted, naturally).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import time
@@ -86,6 +87,22 @@ class SweepRecord:
         return dict(vars(self))
 
 
+# the record fields that describe a polynomial's coefficients
+SHAPE_FIELDS = ("degree", "peak_coeff", "symmetric", "unimodal", "log_concave")
+
+
+def shape_fields(p: Polynomial) -> dict:
+    """The SHAPE_FIELDS of a record for p, by name."""
+    unimodal, _ = is_unimodal(p)
+    return dict(
+        degree=p.degree if not p.is_zero() else 0,
+        peak_coeff=str(max(p.coeffs)),
+        symmetric=is_symmetric(p),
+        unimodal=unimodal,
+        log_concave=is_log_concave(p),
+    )
+
+
 def shape_record(
     m: int, n: int, p: Polynomial, t0: float, soft_ms: Optional[int] = None,
     checksum: Optional[str] = None,
@@ -95,18 +112,12 @@ def shape_record(
     checksum, when given, is p's digest already made from its decimal
     strings; otherwise poly_checksum makes it.
     """
-    symmetric = is_symmetric(p)
-    unimodal, _ = is_unimodal(p)
-    log_concave = is_log_concave(p)
+    shape = shape_fields(p)
     ms = int((time.perf_counter() - t0) * 1000)
     return SweepRecord(
         m=m,
         n=n,
-        degree=p.degree if not p.is_zero() else 0,
-        peak_coeff=str(max(p.coeffs)),
-        symmetric=symmetric,
-        unimodal=unimodal,
-        log_concave=log_concave,
+        **shape,
         wall_time_ms=ms,
         checksum=poly_checksum(p) if checksum is None else checksum,
         timed_out=(soft_ms is not None and ms > soft_ms),
@@ -134,6 +145,22 @@ def conjecture_pairs(max_sum: int, square_max: int) -> list[tuple[int, int]]:
     return list(_grid(max_sum, square_max))
 
 
+def _keys(pairs) -> list[tuple[int, int]]:
+    """The distinct (max(m, n), min(m, n)) of pairs, in first-seen order."""
+    return list(dict.fromkeys((max(m, n), min(m, n)) for m, n in pairs))
+
+
+def _mirrored(pairs, built: list) -> list:
+    """One record per pair, in order, from the records built for _keys(pairs):
+    a pair's own record, or its key's with m and n swapped."""
+    by_key = {(r.m, r.n): r for r in built}
+    out = []
+    for m, n in pairs:
+        r = by_key[max(m, n), min(m, n)]
+        out.append(r if (r.m, r.n) == (m, n) else dataclasses.replace(r, m=m, n=n))
+    return out
+
+
 @dataclass
 class VerifyReport:
     records: list[SweepRecord]
@@ -154,20 +181,28 @@ def verify_conjecture(
 
     Log-concavity is recorded as data, never asserted — it genuinely fails
     (first at (3, 3)).
+
+    qfibonomial(m, n) == qfibonomial(n, m), so each key (max(m, n),
+    min(m, n)) is built and checked once, in first-seen order (at
+    jobs > 1 only those keys go to the pool), and the record of the other
+    order is a copy with m and n swapped.  Records keep the grid's order
+    and count; a mirrored record carries the wall time of the build it
+    shares.
     """
     # sizes grow with each side: an over-cap range stops this early, however large
     for m, n in _grid(max_sum, square_max):
         capped_size(m, n)
     pairs = conjecture_pairs(max_sum, square_max)
-    work = [(m, n, soft_ms) for m, n in pairs]
+    work = [(m, n, soft_ms) for m, n in _keys(pairs)]
     if jobs <= 1:
-        records = [analyze_pair(w) for w in work]
+        built = [analyze_pair(w) for w in work]
     else:
         # the pool's modules take tens of ms to import: only --jobs > 1 pays
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(analyze_pair, work))
+            built = list(pool.map(analyze_pair, work))
+    records = _mirrored(pairs, built)
     failures = [r for r in records if not (r.symmetric and r.unimodal)]
     return VerifyReport(records=records, failures=failures)
 
@@ -286,41 +321,44 @@ def fibocatalan_sweep(max_sum: int = 12) -> FibocatReport:
     wherever the parent polynomial's unimodality check passes — nonnegative
     quotient coefficients and agreement with the telescoping form.  Outside
     gcd in {1, 2}, non-divisibility is recorded as a legitimate outcome.
+
+    As in verify_conjecture, each key (max(m, n), min(m, n)) is computed
+    once and the other order's row is a copy with m and n swapped, carrying
+    the same ms.
     """
     for m, n in _grid(max_sum):
         capped_size(m, n)  # the whole range, before the first pair
-    rows = []
-    violations = []
-    for m, n in _grid(max_sum):
-        t0 = time.perf_counter()
-        g = math.gcd(m, n)
-        parent = qfibonomial(m, n)
-        F = fib(m + n)
-        parent_unimodal, _ = is_unimodal(parent)
-        try:
-            quo = _fibocatalan_quotient(parent.coeffs, F)
-            divisible = True
-            nonneg = all(c >= 0 for c in quo.coeffs)
-            if g in (1, 2):
-                tele = _telescoped_quotient(parent.coeffs, F)
-                telescoping_match = tele == quo
-            else:
-                telescoping_match = None
-        except NotDivisibleError:
-            divisible = False
-            nonneg = None
-            telescoping_match = None
-        ms = int((time.perf_counter() - t0) * 1000)
-        row = FibocatRow(
-            m, n, g, divisible, parent_unimodal, nonneg, telescoping_match, ms
+    pairs = list(_grid(max_sum))
+    rows = _mirrored(pairs, [_fibocatalan_row(m, n) for m, n in _keys(pairs)])
+    violations = [
+        row for row in rows
+        if row.gcd in (1, 2) and (
+            not row.divisible
+            or row.telescoping_match is False
+            or (row.unimodal and row.nonneg is False)
         )
-        rows.append(row)
-        if g in (1, 2):
-            bad = (
-                not divisible
-                or telescoping_match is False
-                or (parent_unimodal and nonneg is False)
-            )
-            if bad:
-                violations.append(row)
+    ]
     return FibocatReport(rows=rows, violations=violations)
+
+
+def _fibocatalan_row(m: int, n: int) -> FibocatRow:
+    t0 = time.perf_counter()
+    g = math.gcd(m, n)
+    parent = qfibonomial(m, n)
+    F = fib(m + n)
+    parent_unimodal, _ = is_unimodal(parent)
+    try:
+        quo = _fibocatalan_quotient(parent.coeffs, F)
+        divisible = True
+        nonneg = all(c >= 0 for c in quo.coeffs)
+        if g in (1, 2):
+            tele = _telescoped_quotient(parent.coeffs, F)
+            telescoping_match = tele == quo
+        else:
+            telescoping_match = None
+    except NotDivisibleError:
+        divisible = False
+        nonneg = None
+        telescoping_match = None
+    ms = int((time.perf_counter() - t0) * 1000)
+    return FibocatRow(m, n, g, divisible, parent_unimodal, nonneg, telescoping_match, ms)

@@ -15,6 +15,7 @@ import fibwork.cli as cli
 import fibwork.sweeps as sweeps
 from fibwork.cache import ENV_VAR, PolyCache, cache_key, resolve_cache_dir
 from fibwork.fibonomial import qfibonomial
+from fibwork.qpoly import Polynomial
 from fibwork.sweeps import (
     CSV_COLUMNS,
     FIBOCAT_CSV_COLUMNS,
@@ -249,10 +250,14 @@ def _respell(text, constant_term):
         ),
         # the right polynomial, its constant term spelled "01"
         lambda text: _respell(text, "01"),
+        # one shape field altered under the stored shape checksum
+        lambda text: _edit_entry(
+            text, shape={**json.loads(text)["shape"], "log_concave": True}
+        ),
     ],
     ids=["truncated", "tampered", "altered-coeffs", "no-checksum",
          "wrong-degree", "zero", "not-integers", "not-a-list",
-         "zero-padded", "trailing-zero", "respelled"],
+         "zero-padded", "trailing-zero", "respelled", "altered-shape"],
 )
 def test_cli_bad_cache_entry_is_a_miss_and_rewritten(tmp_path, damage):
     out = tmp_path / "out.json"
@@ -273,6 +278,42 @@ def test_cli_bad_cache_entry_is_a_miss_and_rewritten(tmp_path, damage):
     rewritten = json.loads(entry.read_text())
     del rewritten["created"], stored["created"]
     assert rewritten == stored
+    assert run(argv) == 0
+    assert json.loads(out.read_text())["cached"] is True
+
+
+@pytest.mark.parametrize(
+    "coeffs,shape",
+    [
+        # 13 strings, the last "0": the polynomial has degree 11
+        (lambda c: c[:-1] + ["0"], lambda s: s),
+        (lambda c: c[:-1], lambda s: s),  # 12 strings
+        (lambda c: c, lambda s: {**s, "degree": 11}),
+        (lambda c: c, lambda s: {k: v for k, v in s.items() if k != "unimodal"}),
+        (lambda c: c, lambda s: {**s, "extra": 1}),
+        (lambda c: c, lambda s: list(s)),
+        (lambda c: c, lambda s: None),
+    ],
+    ids=["trailing-zero", "short", "shape-degree", "shape-missing-field",
+         "shape-extra-field", "shape-not-a-dict", "no-shape"],
+)
+def test_cli_sealed_entry_of_another_polynomial_is_a_miss(tmp_path, coeffs, shape):
+    # entries written through PolyCache.put, so every digest matches
+    out = tmp_path / "out.json"
+    cdir = tmp_path / "cache"
+    argv = ["fibonomial", "3", "3", "--cache-dir", str(cdir), "--out", str(out)]
+    assert run(argv) == 0
+    uncached = json.loads(out.read_text())
+    (entry,) = cdir.glob("*.json")
+    stored = json.loads(entry.read_text())
+    PolyCache(cdir).put(
+        "qfibonomial", {"m": 3, "n": 3}, coeffs(stored["coeffs"]),
+        shape(stored["shape"]),
+    )
+    assert run(argv) == 0
+    repaired = json.loads(out.read_text())
+    del repaired["record"]["wall_time_ms"], uncached["record"]["wall_time_ms"]
+    assert repaired == uncached  # a miss, rebuilt
     assert run(argv) == 0
     assert json.loads(out.read_text())["cached"] is True
 
@@ -354,6 +395,32 @@ def test_cli_fibonomial_hit_reports_as_the_miss_did(m, n, tmp_path):
         assert hit["coeffs"] == [str(c) for c in poly.coeffs]
         assert hit["record"]["checksum"] == poly_checksum(poly)
         assert hit["record"]["peak_coeff"] == str(max(poly.coeffs))
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (10, 10)])
+def test_cli_fibonomial_hit_reports_the_stored_shape_without_arithmetic(
+    m, n, tmp_path, monkeypatch
+):
+    out = tmp_path / "report.json"
+    argv = ["fibonomial", str(m), str(n), "--cache-dir", str(tmp_path / "c"),
+            "--out", str(out)]
+    assert run(argv) == 0
+    miss = json.loads(out.read_text())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit built or checked a polynomial")
+
+    # a hit builds no Polynomial (so runs no int() on a coefficient) and
+    # calls no shape predicate
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    for name in ("is_symmetric", "is_unimodal", "is_log_concave"):
+        monkeypatch.setattr(sweeps, name, refuse)
+    assert run(argv) == 0
+    hit = json.loads(out.read_text())
+    assert (miss["cached"], hit["cached"]) == (False, True)
+    del miss["record"]["wall_time_ms"], hit["record"]["wall_time_ms"]
+    assert hit["record"] == miss["record"]
+    assert hit["coeffs"] == miss["coeffs"]
 
 
 @pytest.mark.parametrize("m,n", [(-1, 2), (2, -1), (2, -5)])

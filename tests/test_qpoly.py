@@ -1,5 +1,6 @@
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from fibwork.qpoly import (
     ZERO,
     NotDivisibleError,
     Polynomial,
+    cancel_step,
     div_one_minus_q_power,
     exact_div,
     fib_q_factorial,
@@ -164,6 +166,58 @@ def test_div_one_minus_q_power_inverts_multiplication():
 def test_div_one_minus_q_power_rejects_inexact():
     with pytest.raises(NotDivisibleError):
         div_one_minus_q_power([1, 1, 1], 2)
+
+
+def _div_per_element(c, k):
+    """div_one_minus_q_power as one Python step per coefficient: the reference."""
+    n = len(c)
+    for i in range(k, n):
+        c[i] += c[i - k]
+    tail = c[n - k:] if n >= k else c[:]
+    if any(tail):
+        raise NotDivisibleError(Polynomial([0] * max(0, n - k) + tail))
+    del c[max(0, n - k):]
+    return c
+
+
+def _cancel_per_element(c, up, down):
+    """cancel_step with the shifted subtract as one Python step per coefficient."""
+    c.extend([0] * up)
+    for i in range(len(c) - 1, up - 1, -1):
+        c[i] -= c[i - up]
+    return _div_per_element(c, down)
+
+
+def _outcome(step, c, *powers):
+    """(the list step leaves, its result or remainder), step run on a copy of c."""
+    work = list(c)
+    try:
+        out = step(work, *powers)
+        assert out is work  # in place
+        return work, out
+    except NotDivisibleError as e:
+        return work, e.remainder
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 63, 64, 65, 80, 200])
+def test_coefficient_passes_match_per_element_loops(k):
+    # the lengths up to k leave k >= len; the remainders of inexact
+    # divisions, and the lists left behind, must match too
+    rng = random.Random(k)
+    for length in (0, 1, k - 1, k, k + 1, 2 * k + 5, 300):
+        base = [rng.randrange(-10**20, 10**20) for _ in range(length)]
+        product = base + [0] * k  # base * (1 - q^k): exactly divisible
+        for i in range(k, len(product)):
+            product[i] -= base[i - k]
+        for c in (product, base):
+            assert _outcome(div_one_minus_q_power, c, k) == _outcome(
+                _div_per_element, c, k
+            ), (k, length)
+        # times 1 - q^up then divided by 1 - q^k: exact when k divides up
+        for up in (1, k, k + 7, 3 * k):
+            assert _outcome(cancel_step, base, up, k) == _outcome(
+                _cancel_per_element, base, up, k
+            ), (k, length, up)
 
 
 def test_is_symmetric():

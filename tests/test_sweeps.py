@@ -83,6 +83,39 @@ def test_verify_conjecture_parallel_matches_sequential():
     assert key(seq.records) == key(par.records)
 
 
+def _without(record, *names):
+    d = dict(vars(record))
+    for name in names:
+        del d[name]
+    return d
+
+
+def test_verify_conjecture_builds_each_key_once(monkeypatch):
+    calls = []
+
+    def counted(args):
+        calls.append(args[:2])
+        return analyze_pair(args)
+
+    monkeypatch.setattr(sweeps, "analyze_pair", counted)
+    report = verify_conjecture(max_sum=8, square_max=5)
+    pairs = conjecture_pairs(8, 5)
+    keys = list(dict.fromkeys((max(m, n), min(m, n)) for m, n in pairs))
+    assert calls == keys
+    assert (len(calls), len(report.records)) == (len(keys), len(pairs)) == (17, 29)
+    assert [(r.m, r.n) for r in report.records] == pairs
+
+
+def test_verify_conjecture_mirrored_record_equals_its_twin():
+    by_pair = {(r.m, r.n): r for r in verify_conjecture(max_sum=9, square_max=0).records}
+    for (m, n), record in by_pair.items():
+        twin = by_pair[n, m]
+        # a mirrored record shares the wall time of its twin's build
+        assert _without(record, "m", "n") == _without(twin, "m", "n")
+        fresh = analyze_pair((m, n, None))
+        assert _without(record, "wall_time_ms") == _without(fresh, "wall_time_ms")
+
+
 def test_oracle_check_counts_and_passes():
     report = oracle_check(max_sum=6)
     assert report.ok
@@ -105,7 +138,7 @@ def test_oracle_check_refuses_before_any_pair(monkeypatch):
     )
 
 
-def test_fibocatalan_sweep_builds_one_qfibonomial_per_pair(monkeypatch):
+def test_fibocatalan_sweep_builds_one_qfibonomial_per_key(monkeypatch):
     # the package re-exports a function named fibonomial over the module name
     fibonomial = importlib.import_module("fibwork.fibonomial")
     calls = []
@@ -117,8 +150,13 @@ def test_fibocatalan_sweep_builds_one_qfibonomial_per_pair(monkeypatch):
     monkeypatch.setattr(fibonomial, "qfibonomial", counted)
     monkeypatch.setattr(sweeps, "qfibonomial", counted)
     report = fibocatalan_sweep(max_sum=10)
-    assert sorted(calls) == sorted((r.m, r.n) for r in report.rows)
-    assert len(calls) == len(report.rows) == 45
+    pairs = [(r.m, r.n) for r in report.rows]
+    assert pairs == conjecture_pairs(10, 0)
+    assert calls == list(dict.fromkeys((max(m, n), min(m, n)) for m, n in pairs))
+    assert (len(calls), len(report.rows)) == (25, 45)
+    by_pair = {(r.m, r.n): r for r in report.rows}
+    for (m, n), row in by_pair.items():
+        assert _without(row, "m", "n") == _without(by_pair[n, m], "m", "n")
 
 
 def test_fibocatalan_sweep_shape():
