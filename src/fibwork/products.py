@@ -20,27 +20,47 @@ criteria for small shapes and by a scanned predicate in general:
 
 scan_products sweeps a parameter box, compares the predicate against the
 actual coefficient check, and reports violations in both directions.  It
-decides every base b of a (combination, r) from one difference array.
-Write P for [a_1]_q ... [a_k]_q and G = P / (1 - q^r), the strided prefix
-sum of P.  Since [b]_{q^r} = (1 - q^{br}) / (1 - q^r),
+decides every base b of a (combination, r) from one series, without
+building any product P [b]_{q^r}, where P = [a_1]_q ... [a_k]_q has n
+coefficients.  Since [r]_q [b]_{q^r} = [br]_q, with F = P / [r]_q,
 
-    P [b]_{q^r} = G (1 - q^{br}),
+    P [b]_{q^r} = F [br]_q,
 
-so with F the first differences of G (F[0] = G[0]), the coefficient
-differences of the product are F[i] - F[i - br], F read as 0 below index
-0.  The product is a palindrome, so it is unimodal exactly when these are
->= 0 for 1 <= i <= len // 2: for i >= br that is one comparison of F
-with itself shifted by br, and for i < br it is F[i] >= 0, read off the
-first negative index of F.  G is kept only up to the middle of the
-longest product, b = value_max.  No product P [b]_{q^r} is ever built.
+so the coefficient differences of the product are F[i] - F[i - br], F
+read as 0 below index 0.  The product is a palindrome, so it is unimodal
+exactly when these are >= 0 for 1 <= i <= h = (n + br - r) // 2: for
+i >= br that is one comparison of F with itself shifted by br, and for
+i < br it is F[i] >= 0, read off the first negative index `neg` of F.
+
+F = (1 - q) P / (1 - q^r) is a strided prefix sum of d = (1 - q) P, which
+has n + 1 coefficients.  Past index n, d is 0, so F[i] = F[i - r] there:
+F is built to index n only, and if it has no negative entry up to n it
+has none at all.  The bases split at head = min(value_max, n // r - 1),
+the largest b with br <= h:
+
+  * for b <= head the shifted comparison runs; it reads F[0..n - r];
+  * for b > head there is nothing to compare, so the product is unimodal
+    iff neg > h, which holds iff b <= ceil((2 neg - n) / r), for every b
+    when F has no negative entry.  These findings are the b between that
+    bound and the predicate's largest accepted base, emitted without a
+    loop over the other bases.
+
+An observation of this code, not a statement of the paper: in every box
+tried the shifted comparison never decided a base, that is, P [b]_{q^r}
+was unimodal exactly when F had no negative coefficient at degree <= h.
+Only "unimodal => F[0..h] >= 0" is proved (F[i] >= F[i - br] >= ... >=
+F[i mod br] >= 0), so the scan still makes the comparison; a test checks
+the observation on a small box.
 
 The box splits into one block per (k, least factor) that covers every r,
-so each k-combination's product is built once per scan, by one cancel_step
-on its prefix's.  The predicate is evaluated once per (combination, r) as
-the largest b it accepts, and a ProductSpec is built only for a finding.
-The extended box (k <= 5, r <= 6, values <= 15: 1,162,725 specs) takes
-2.1-2.5 s on one core of a 2-CPU VM with a 22 MB peak, and 1.3-1.6 s at
---jobs 2, which maps the same blocks over a process pool.
+so each k-combination's d is built once per scan, by one cancel_step on
+its prefix's, starting from 1 - q^least.  The predicate is evaluated once
+per (combination, r) as the largest b it accepts, and a ProductSpec is
+built only for a finding.  The extended box (k <= 5, r <= 6,
+values <= 15: 1,162,725 specs) takes 1.2-2.0 s through the CLI on one
+core of a 2-CPU VM with a 22 MB peak, and 0.8-1.2 s at --jobs 2, which
+maps the same blocks over a process pool; the box k <= 3, r <= 20,
+values <= 40 takes 2.3-2.6 s at --jobs 2.
 """
 
 from __future__ import annotations
@@ -132,9 +152,9 @@ def loss_count(k: int, a: int, b: int, c: int) -> int:
 def _largest_accepted_base(factors: tuple[int, ...], r: int) -> float:
     """The largest b the predicate accepts for [a_1]_q ... [a_k]_q [b]_{q^r}:
     unbounded (inf) when r divides some a_i, else 1 + sum floor(a_i / r)."""
-    if any(a % r == 0 for a in factors):
+    if not all(map(operator.mod, factors, repeat(r))):
         return math.inf
-    return 1 + sum(a // r for a in factors)
+    return 1 + sum(map(operator.floordiv, factors, repeat(r)))
 
 
 def product_unimodal_predicate(spec: ProductSpec) -> bool:
@@ -180,19 +200,20 @@ class ScanReport:
 def _combination_products(
     k: int, least: int, value_max: int
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """(combo, coefficient list of [a_1]_q ... [a_k]_q) for every ascending
-    k-combination of 1..value_max whose least factor is `least`, in
-    itertools.combinations_with_replacement order; each is one cancel_step,
-    times [a]_q = (1 - q^a) / (1 - q), on a copy of its prefix's."""
+    """(combo, coefficient list of (1 - q) [a_1]_q ... [a_k]_q) for every
+    ascending k-combination of 1..value_max whose least factor is `least`,
+    in itertools.combinations_with_replacement order; each is one
+    cancel_step, times [a]_q = (1 - q^a) / (1 - q), on a copy of its
+    prefix's."""
 
-    def walk(prefix, p, low):
+    def walk(prefix, d, low):
         if len(prefix) == k:
-            yield prefix, p
+            yield prefix, d
             return
         for a in range(low, value_max + 1):
-            yield from walk(prefix + (a,), cancel_step(p[:], a, 1), a)
+            yield from walk(prefix + (a,), cancel_step(d[:], a, 1), a)
 
-    return walk((least,), [1] * least, least)
+    return walk((least,), [1] + [0] * (least - 1) + [-1], least)
 
 
 def _first_negative(f: list[int]) -> int:
@@ -207,33 +228,40 @@ def _scan_block(
     each stride r = 2..r_max; returns the number of specs checked and, for
     each r in turn, the findings in scan order."""
     k, least, r_max, value_max = block
-    ge, sub = operator.ge, operator.sub
+    ge = operator.ge
     strides = range(2, r_max + 1)
     found = [[] for _ in strides]
     checked = 0
-    for combo, p in _combination_products(k, least, value_max):
-        n = len(p)
+    for combo, d in _combination_products(k, least, value_max):
+        n = len(d) - 1
         for r, out in zip(strides, found):
             top = _largest_accepted_base(combo, r)
-            # G = P / (1 - q^r), up to the middle of the longest product
-            size = (n + (value_max - 1) * r) // 2 + 1
-            g = list(p[:size])
-            g += [0] * (size - n)
+            # F = (1 - q) P / (1 - q^r) to index n; past n it is r-periodic
+            f = d[:]
             for j in range(r):
-                g[j::r] = accumulate(g[j::r])
-            f = g[:1]
-            f += map(sub, g[1:], g)
+                f[j::r] = accumulate(f[j::r])
             neg = _first_negative(f)
-            for b in range(1, value_max + 1):
+            # the bases with b r <= h: F[i] >= 0 below b r, then the
+            # shifted comparison F[i] >= F[i - b r] up to the middle h
+            head = min(value_max, n // r - 1)
+            for b in range(1, head + 1):
                 br = b * r
                 h = (n + br - r) // 2
-                # P [b]_{q^r} rises to its middle: F[i] - F[i - br] >= 0
-                # for 1 <= i <= h, with F read as 0 below index 0
-                uni = (neg >= br or neg > h) and all(map(ge, f[br : h + 1], f))
+                uni = neg >= br and all(map(ge, f[br : h + 1], f))
                 pred = b <= top
                 if uni != pred:
                     kind = SUFFICIENCY_VIOLATION if pred else NECESSITY_VIOLATION
                     out.append(ScanFinding(kind, ProductSpec(combo, b, r), uni, pred))
+            # past head the product is unimodal iff neg > h, that is iff
+            # b <= ceil((2 neg - n) / r), and for every b if F has no negative
+            bound = -((n - 2 * neg) // r) if neg <= n else math.inf
+            for b in range(
+                max(head, min(bound, top, value_max)) + 1,
+                min(value_max, max(bound, top)) + 1,
+            ):
+                pred = b <= top
+                kind = SUFFICIENCY_VIOLATION if pred else NECESSITY_VIOLATION
+                out.append(ScanFinding(kind, ProductSpec(combo, b, r), not pred, pred))
         checked += value_max * len(strides)
     return checked, found
 

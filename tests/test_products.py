@@ -169,7 +169,17 @@ def reference_scan(k_max, r_max, value_max):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize(
-    "box", [(4, 4, 4), (2, 5, 9), (5, 3, 3), (5, 5, 5), (4, 6, 7)]
+    "box",
+    [
+        (4, 4, 4),
+        (2, 5, 9),
+        (5, 3, 3),
+        (5, 5, 5),
+        (4, 6, 7),
+        (1, 9, 4),  # r > len P at most strides: no base reaches the shifted comparison
+        (2, 8, 10),  # long runs of bases decided by the bound alone
+        (6, 3, 3),  # holds [2]_q^6 [b]_{q^3} for b = 2 and 3
+    ],
 )
 def test_scan_matches_per_spec_reference(box, jobs):
     checked, expected = reference_scan(*box)
@@ -181,6 +191,36 @@ def test_scan_matches_per_spec_reference(box, jobs):
         for f in report.findings
     ]
     assert got == expected
+
+
+def series_over_r_analog(p, r, length):
+    """The power series P / [r]_q = P (1 - q) / (1 - q^r) to `length` terms."""
+    d = [c - (p[i - 1] if i else 0) for i, c in enumerate(p)] + [-p[-1]]
+    d += [0] * (length - len(d))
+    f = []
+    for i in range(length):
+        f.append(d[i] + (f[i - r] if i >= r else 0))
+    return f
+
+
+def test_unimodal_exactly_when_the_quotient_by_r_analog_is_nonnegative_to_the_middle():
+    # an observation of this code, not a theorem: P [b]_{q^r} is unimodal
+    # iff F = P / [r]_q has no negative coefficient at degree <= len // 2;
+    # only "unimodal => F >= 0 there" is proved, so the scan does not use it
+    checked = dips = 0
+    for k in range(1, 7):
+        for combo in itertools.combinations_with_replacement(range(1, 7), k):
+            p = ProductSpec(combo, 1, 2).polynomial().coeffs  # b = 1: P itself
+            for r in range(2, 7):
+                f = series_over_r_analog(p, r, len(p) + 5 * r)
+                for b in range(1, 7):
+                    product = ProductSpec(combo, b, r).polynomial()
+                    uni, _ = is_unimodal(product)
+                    middle = len(product.coeffs) // 2
+                    assert uni == (min(f[: middle + 1]) >= 0), (combo, b, r)
+                    checked += 1
+                    dips += not uni
+    assert (checked, dips) == (27_690, 5_943)
 
 
 def test_extended_scan_is_pinned():
