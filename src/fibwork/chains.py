@@ -46,11 +46,10 @@ from functools import lru_cache
 from .fib import fib
 from .tilings import (
     DEFAULT_ENUMERATION_CAP,
-    EnumerationCapExceeded,
     HeightProfile,
     Tiling,
+    _refuse_over_cap,
     strip_tilings,
-    tiling_count,
     weight_degree,
 )
 
@@ -176,9 +175,7 @@ def decompose(m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[ChainBlock]:
     """
     if m < 1:
         raise ValueError(f"decompose needs m >= 1, got {m}")
-    projected = tiling_count(m, 2)
-    if projected > cap:
-        raise EnumerationCapExceeded(m, 2, projected, cap)
+    _refuse_over_cap(m, 2, cap)
     guard = fib(m + 3)  # no chain is longer than the weight range
     blocks = []
     for top in strip_tilings(m):

@@ -519,6 +519,21 @@ def test_cli_oracle_check(capsys):
     assert "0 mismatches" in capsys.readouterr().err
 
 
+def test_cli_oracle_check_runs_boards_over_the_enumeration_cap(capsys):
+    rc = run(["oracle-check", "--max-sum", "12"])
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        "oracle-check: 91 pairs and 10 two-row decompositions checked, 0 mismatches\n"
+    )
+
+
+def test_cli_oracle_check_refuses_a_chain_walk_over_the_cap(capsys):
+    assert run(["oracle-check", "--max-sum", "19"]) == 2
+    assert capsys.readouterr().err == (
+        "refused: enumerating (17,2) means 10803704 tilings, above the cap 10000000\n"
+    )
+
+
 def test_cli_fibocatalan_sweep_csv(tmp_path, capsys):
     out = tmp_path / "cat.csv"
     rc = run(["fibocatalan-sweep", "--max-sum", "8", "--format", "csv",

@@ -123,18 +123,27 @@ def test_oracle_check_counts_and_passes():
     assert report.n2_rows_checked == 4  # m in 1..4
 
 
+def test_oracle_check_passes_past_the_old_tiling_count_refusal():
+    # (5,7) has 16,776,144 tilings, but the tiling sum visits none of them
+    report = oracle_check(max_sum=12)
+    assert report.ok
+    assert report.pairs_checked == 91  # all (m, n) with m + n <= 12
+    assert report.n2_rows_checked == 10  # m in 1..10
+
+
 def test_oracle_check_refuses_before_any_pair(monkeypatch):
     def no_work(*args, **kwargs):
-        raise AssertionError("tiling_polynomial called before the refusal")
+        raise AssertionError("a pair was computed before the refusal")
 
     monkeypatch.setattr(sweeps, "tiling_polynomial", no_work)
+    monkeypatch.setattr(sweeps, "decompose", no_work)
     with pytest.raises(EnumerationCapExceeded) as exc:
-        oracle_check(max_sum=12)
-    # the first pair of the range over the cap, in the range's own order
-    assert (exc.value.m, exc.value.n) == (5, 7)
-    assert exc.value.projected == 16_776_144
+        oracle_check(max_sum=19)
+    # only the chain walk enumerates: the first two-row board over the cap
+    assert (exc.value.m, exc.value.n) == (17, 2)
+    assert exc.value.projected == 10_803_704
     assert str(exc.value) == (
-        "enumerating (5,7) means 16776144 tilings, above the cap 10000000"
+        "enumerating (17,2) means 10803704 tilings, above the cap 10000000"
     )
 
 
